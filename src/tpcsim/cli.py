@@ -345,9 +345,9 @@ def _run_analytic(cfg, out: Path) -> list[Path]:
     dt = mcfg.T / J
     N = pat.K * J
     t = np.arange(N) * dt
-    total = sample_output(d, ic, pat, p.V1, dt, N)
     transient = Waveform(dt=dt, t0=0.0, samples=transient_component(d, ic, t))
     data = Waveform(dt=dt, t0=0.0, samples=data_component(d, pat, p.V1, t))
+    total = Waveform(dt=dt, t0=0.0, samples=transient.samples + data.samples)
     files = []
     for name, w in (("v2_total", total), ("v2_transient", transient), ("v2_data", data)):
         path = out / f"{name}.csv"

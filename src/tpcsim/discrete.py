@@ -15,6 +15,8 @@ inductor current at zero.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,33 +92,53 @@ def derive_params(p: CircuitParams, J: int, T: float, variant: Variant) -> Discr
     )
 
 
-def _step_values(
-    iL: float,
-    v2: float,
-    s1_n: float,
-    s1_prev: float,
+def _iterate(
     dp: DiscreteParams,
     V1: float,
     dcm: bool,
-) -> tuple[float, float]:
-    """One update of (iL, v2).  Single source of truth for all variants.
+    iL0: float,
+    v2_0: float,
+    s1,
+) -> tuple[array, array]:
+    """(iL, v2) trajectories driven by the switching samples s1.
 
-    EXACT/SIMPLIFIED consume s1[n] and the fresh iL[n]; PREDICTIVE consumes
-    s1[n-1] and iL[n-1].  In DCM the current clip happens before it feeds the
-    voltage update (EXACT/SIMPLIFIED) or before it is stored (PREDICTIVE),
-    preserving each variant's data flow.
+    Single source of truth for the update of all variants, shared by
+    `simulate`, `step` and brute-force detection.  Sample 0 of each output
+    buffer holds the initial state; sample n >= 1 is one update of sample
+    n - 1.  EXACT/SIMPLIFIED consume s1[n] and the fresh iL[n]; PREDICTIVE
+    consumes s1[n-1] and iL[n-1].  In DCM the current clip happens before it
+    feeds the voltage update (EXACT/SIMPLIFIED) or before it is stored
+    (PREDICTIVE), preserving each variant's data flow.  The loop runs on
+    plain floats in the operation order of the update equations, so every
+    caller gets bit-identical samples.
     """
+    N = len(s1)
+    out_iL = array("d", [0.0]) * N
+    out_v2 = array("d", [0.0]) * N
+    if not N:
+        return out_iL, out_v2
+    alpha, gamma, kappa, mu = dp.alpha, dp.gamma, dp.kappa, dp.mu
+    bV = dp.beta * V1
+    # the clip compares against -inf in CCM, which no current falls below
+    floor = 0.0 if dcm else -math.inf
+    iL = out_iL[0] = iL0
+    v2 = out_v2[0] = v2_0
     if dp.variant is Variant.PREDICTIVE:
-        v2_new = dp.kappa * v2 + dp.mu * iL
-        iL_new = iL + dp.beta * V1 * s1_prev + dp.gamma * v2
-        if dcm and iL_new < 0.0:
-            iL_new = 0.0
+        for n in range(1, N):
+            iL, v2 = iL + bV * s1[n - 1] + gamma * v2, kappa * v2 + mu * iL
+            if iL < floor:
+                iL = 0.0
+            out_iL[n] = iL
+            out_v2[n] = v2
     else:
-        iL_new = dp.alpha * iL + dp.beta * V1 * s1_n + dp.gamma * v2
-        if dcm and iL_new < 0.0:
-            iL_new = 0.0
-        v2_new = dp.kappa * v2 + dp.mu * iL_new
-    return iL_new, v2_new
+        for n in range(1, N):
+            iL = alpha * iL + bV * s1[n] + gamma * v2
+            if iL < floor:
+                iL = 0.0
+            v2 = kappa * v2 + mu * iL
+            out_iL[n] = iL
+            out_v2[n] = v2
+    return out_iL, out_v2
 
 
 def step(
@@ -129,8 +151,8 @@ def step(
 ) -> SimState:
     """Advance one sample.  For the first predictive step s1_prev is 0 (the
     switching signal is right-sided)."""
-    iL, v2 = _step_values(s.iL, s.v2, s1_n, s1_prev, dp, V1, mode is ConductionMode.DCM)
-    return SimState(iL=iL, v2=v2, n=s.n + 1)
+    iL, v2 = _iterate(dp, V1, mode is ConductionMode.DCM, s.iL, s.v2, (s1_prev, s1_n))
+    return SimState(iL=iL[1], v2=v2[1], n=s.n + 1)
 
 
 def simulate(
@@ -156,16 +178,7 @@ def simulate(
         raise ValueError(
             f"DCM requires iL(0) >= 0 and v2(0) >= 0, got iL={iL:.6g}, v2={v2:.6g}"
         )
-    out_v2 = np.empty(N)
-    out_iL = np.empty(N)
-    if N:
-        out_v2[0] = v2
-        out_iL[0] = iL
-    step_fn = _step_values
-    for n in range(1, N):
-        iL, v2 = step_fn(iL, v2, s1[n], s1[n - 1], dp, p.V1, dcm)
-        out_v2[n] = v2
-        out_iL[n] = iL
+    out_iL, out_v2 = _iterate(dp, p.V1, dcm, iL, v2, memoryview(s1))
     return (
         Waveform(dt=dp.dt, t0=0.0, samples=out_v2),
         Waveform(dt=dp.dt, t0=0.0, samples=out_iL),

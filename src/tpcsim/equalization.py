@@ -23,7 +23,7 @@ from .circuit import (
     frequency_response,
     initial_inductor_current,
 )
-from .discrete import Variant, derive_params
+from .discrete import Variant, _iterate, derive_params
 from .errors import GridMismatchError, IndivisibleDecimationError, TooManyBitsError
 from .modulation import ModulationConfig, encode, sample_switching
 
@@ -150,38 +150,52 @@ def build_state_sequence(
     return states
 
 
-def _candidate_trajectories(
+def _candidate_distances(
+    r: Waveform,
     p: CircuitParams,
     cfg: ModulationConfig,
     ic: InitialConditions,
     J: int,
     K: int,
     variant: Variant,
-) -> tuple[np.ndarray, np.ndarray]:
-    """v2 trajectories of all 2^K bit sequences, rows in lexicographic order."""
-    n_cand = 1 << K
-    bits_matrix = (np.arange(n_cand)[:, None] >> np.arange(K - 1, -1, -1)) & 1
+) -> np.ndarray:
+    """Squared distances of all 2^K candidate v2 trajectories from r[:K*J].
+
+    Entry i belongs to the bit sequence that spells i in binary, first bit
+    most significant, so the order is lexicographic.  The CCM iteration is
+    linear, so the trajectory of bits b is z + sum_k b_k y_k: z is the
+    all-zero-bits trajectory from the initial conditions and y_k the
+    zero-state response to symbol k's one-minus-zero switching difference.
+    With e = z - r, h_k = y_k.e and G_jk = y_j.y_k, the distance of b is
+    e.e + sum_k b_k (2 h_k + G_kk + 2 sum_{j<k} b_j G_jk), summed here one
+    bit at a time over all prefixes.
+    """
     dp = derive_params(p, J, cfg.T, variant)
     N = K * J
     s1_zero = sample_switching(encode(np.zeros(K, dtype=int), cfg), dp.dt, N)
     s1_one = sample_switching(encode(np.ones(K, dtype=int), cfg), dp.dt, N)
-    ksym = np.minimum(np.arange(N) // J, K - 1)
-    s1_all = np.where(bits_matrix[:, ksym] == 1, s1_one[None, :], s1_zero[None, :])
-
-    iL = np.full(n_cand, initial_inductor_current(p, ic))
-    v2 = np.full(n_cand, ic.v2_0)
-    out = np.empty((n_cand, N))
-    out[:, 0] = v2
-    for n in range(1, N):
-        if variant is Variant.PREDICTIVE:
-            v2_new = dp.kappa * v2 + dp.mu * iL
-            iL = iL + dp.beta * p.V1 * s1_all[:, n - 1] + dp.gamma * v2
-            v2 = v2_new
-        else:
-            iL = dp.alpha * iL + dp.beta * p.V1 * s1_all[:, n] + dp.gamma * v2
-            v2 = dp.kappa * v2 + dp.mu * iL
-        out[:, n] = v2
-    return bits_matrix, out
+    _, z = _iterate(dp, p.V1, False, initial_inductor_current(p, ic), ic.v2_0, memoryview(s1_zero))
+    diff = s1_one - s1_zero
+    Y = np.zeros((K, N))
+    for k in range(K):
+        # the response starts one sample before the symbol: the first update
+        # inside it already consumes s1[k*J]
+        n0 = max(k * J - 1, 0)
+        s1_k = np.zeros(N - n0)
+        s1_k[k * J - n0 : (k + 1) * J - n0] = diff[k * J : (k + 1) * J]
+        Y[k, n0:] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
+    e = np.frombuffer(z) - r.samples[:N]
+    # einsum rather than @ keeps detection off BLAS, whose first call maps
+    # about 0.5 MB of work buffers into the process
+    h = np.einsum("kn,n->k", Y, e)
+    G = np.einsum("jn,kn->jk", Y, Y)
+    distances = np.array([np.einsum("n,n->", e, e)])
+    cross = np.zeros((1, K))  # sum_j b_j G_jk over each prefix's bits
+    for k in range(K):
+        gain = distances + (2.0 * h[k] + G[k, k] + 2.0 * cross[:, k])
+        distances = np.stack([distances, gain], axis=1).ravel()
+        cross = np.stack([cross, cross + G[k]], axis=1).reshape(-1, K)
+    return distances
 
 
 def brute_force_detect(
@@ -197,7 +211,8 @@ def brute_force_detect(
 
     The observation is compared (in v2 units, i.e. assuming unit scale) against
     the discrete-model trajectory of every bit sequence; ties resolve to the
-    lexicographically smallest sequence.  Limited to K <= 12.
+    lexicographically smallest sequence.  The observation must start at t = 0
+    on the model's grid dt = T/J.  Limited to K <= 12.
     """
     if K > 12:
         raise TooManyBitsError(f"exhaustive search over 2^{K} sequences refused (K <= 12)")
@@ -206,8 +221,10 @@ def brute_force_detect(
     N = K * J
     if len(r) < N:
         raise ValueError(f"observation has {len(r)} samples, need {N}")
-    bits_matrix, trajectories = _candidate_trajectories(p, cfg, ic, J, K, variant)
-    diffs = trajectories - r.samples[None, :N]
-    distances = np.einsum("ij,ij->i", diffs, diffs)
-    best = int(np.argmin(distances))
-    return bits_matrix[best].astype(int)
+    if r.t0 != 0.0 or abs(r.dt - cfg.T / J) > 1e-12 * (cfg.T / J):
+        raise GridMismatchError(
+            f"observation grid (t0 = {r.t0!r}, dt = {r.dt!r}) is not the "
+            f"detection grid (t0 = 0, dt = T/J = {cfg.T / J!r})"
+        )
+    best = int(np.argmin(_candidate_distances(r, p, cfg, ic, J, K, variant)))
+    return (best >> np.arange(K - 1, -1, -1)) & 1

@@ -3,10 +3,10 @@
 Everything here is deliberately written against the raw circuit equations
 rather than the package's closed forms: a classic four-stage Runge-Kutta
 integrator for linear state-space models with piecewise-constant input,
-event-aligned so switching edges never smear across a step, a
-backward-difference recursion of the base circuit, plus the state-space
-formulations (and derivative-style initial-condition mappings) of the extended
-topologies.
+event-aligned so switching edges never smear across a step, backward-
+difference and explicit Euler recursions of the base circuit, plus the
+state-space formulations (and derivative-style initial-condition mappings) of
+the extended topologies.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def rk4_buck(p, pat, ic, J: int, h_max=None):
     return states[:, 1], states[:, 0]
 
 
-def backward_difference_buck(p, pat, ic, J: int):
+def backward_difference_buck(p, pat, ic, J: int, clip: bool = False):
     """Backward-difference recursion of the two base circuit state equations.
 
     L*diL/dt = V1*s1 - v2 and C*dv2/dt = iL - v2/R_L with both derivatives
@@ -142,8 +142,10 @@ def backward_difference_buck(p, pat, ic, J: int):
 
     s1[n] is the switching level at n*dt from switch_level.  Each step solves
     this implicit 2x2 system for (iL[n], v2[n]); the error of the recursion
-    against the continuous trajectory is first order in dt.  Returns (v2, iL)
-    of length K*J; sample 0 carries the initial conditions.
+    against the continuous trajectory is first order in dt.  With clip (a
+    diode that blocks reverse current), a negative iL[n] is set to 0 and v2[n]
+    solved from the capacitor equation alone.  Returns (v2, iL) of length K*J;
+    sample 0 carries the initial conditions.
     """
     dt = pat.T / J
     N = pat.K * J
@@ -161,8 +163,47 @@ def backward_difference_buck(p, pat, ic, J: int):
     for n in range(1, N):
         rhs = np.array([p.L / dt * x[0] + p.V1 * switch_level(pat, n * dt), p.C / dt * x[1]])
         x = lhs_inv @ rhs
+        if clip and x[0] < 0.0:
+            x = np.array([0.0, p.C / dt * out[n - 1, 1] / (p.C / dt + 1.0 / p.R_L)])
         out[n] = x
     return out[:, 1], out[:, 0]
+
+
+def euler_buck(p, pat, ic, J: int, semi_implicit: bool, clip: bool = False):
+    """Explicit Euler recursions of the two base circuit state equations.
+
+    L*diL/dt = V1*s1 - v2 and C*dv2/dt = iL - v2/R_L at dt = T/J, with s1[n]
+    the switching level at n*dt from switch_level.  Forward Euler evaluates
+    both right-hand sides at n-1:
+
+        iL[n] = iL[n-1] + dt/L*(V1*s1[n-1] - v2[n-1])
+        v2[n] = v2[n-1] + dt/C*(iL[n-1] - v2[n-1]/R_L)
+
+    The semi-implicit form takes the switching level at n and feeds the
+    fresh current into the voltage update:
+
+        iL[n] = iL[n-1] + dt/L*(V1*s1[n] - v2[n-1])
+        v2[n] = v2[n-1] + dt/C*(iL[n] - v2[n-1]/R_L)
+
+    With clip (a diode that blocks reverse current), a negative iL[n] is set
+    to 0 as soon as it is computed.  Returns (v2, iL) of length K*J; sample 0
+    carries the initial conditions.
+    """
+    dt = pat.T / J
+    N = pat.K * J
+    iL_out = np.empty(N)
+    v2_out = np.empty(N)
+    iL_out[0] = ic.v2_0 / p.R_L + p.C * ic.dv2_0
+    v2_out[0] = ic.v2_0
+    for n in range(1, N):
+        iL, v2 = iL_out[n - 1], v2_out[n - 1]
+        t_drive = n * dt if semi_implicit else (n - 1) * dt
+        iL_new = iL + dt / p.L * (p.V1 * switch_level(pat, t_drive) - v2)
+        if clip and iL_new < 0.0:
+            iL_new = 0.0
+        iL_out[n] = iL_new
+        v2_out[n] = v2 + dt / p.C * ((iL_new if semi_implicit else iL) - v2 / p.R_L)
+    return v2_out, iL_out
 
 
 # ---------------------------------------------------------------------------

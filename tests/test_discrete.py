@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import backward_difference_buck
+from oracles import backward_difference_buck, euler_buck
 from tpcsim.analytic import sample_output
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics
 from tpcsim.discrete import ConductionMode, SimState, Variant, derive_params, simulate, step
@@ -154,6 +154,38 @@ def test_exact_is_the_backward_difference_recursion():
                 v2_ref, iL_ref = backward_difference_buck(p, pat, ic, J)
                 assert np.abs(v2.samples - v2_ref).max() <= 1e-12 * np.abs(v2_ref).max()
                 assert np.abs(iL.samples - iL_ref).max() <= 1e-12 * np.abs(iL_ref).max()
+
+
+def test_iterations_match_independent_recursions():
+    # the recursions are written from the raw circuit equations: SIMPLIFIED is
+    # semi-implicit Euler, PREDICTIVE forward Euler, EXACT in DCM the backward
+    # difference with the same clip.  IC 1.5 V starts above the target so the
+    # CCM current goes negative and DCM clips it; J as in the EXACT check above.
+    pat = fig3_pattern(64)
+    clipped = set()
+    for p in (FAST, SLOW):
+        for ic in (InitialConditions(0.75, 0.0), InitialConditions(1.5, 0.0)):
+            for J in (5, 8, 16, 64):
+                for variant, mode in (
+                    (Variant.SIMPLIFIED, ConductionMode.CCM),
+                    (Variant.SIMPLIFIED, ConductionMode.DCM),
+                    (Variant.PREDICTIVE, ConductionMode.CCM),
+                    (Variant.PREDICTIVE, ConductionMode.DCM),
+                    (Variant.EXACT, ConductionMode.DCM),
+                ):
+                    dcm = mode is ConductionMode.DCM
+                    v2, iL = simulate(p, pat, ic, J, variant, mode)
+                    if variant is Variant.EXACT:
+                        v2_ref, iL_ref = backward_difference_buck(p, pat, ic, J, clip=dcm)
+                    else:
+                        v2_ref, iL_ref = euler_buck(
+                            p, pat, ic, J, semi_implicit=variant is Variant.SIMPLIFIED, clip=dcm
+                        )
+                    assert np.abs(v2.samples - v2_ref).max() <= 1e-12 * np.abs(v2_ref).max()
+                    assert np.abs(iL.samples - iL_ref).max() <= 1e-12 * np.abs(iL_ref).max()
+                    if dcm and np.any(iL_ref == 0.0):
+                        clipped.add(variant)
+    assert clipped == set(Variant)
 
 
 def test_simulate_initial_sample_carries_ics():

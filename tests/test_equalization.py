@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcsim.analytic import Waveform, data_component, sample_output, transient_component
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics, frequency_response
 from tpcsim.discrete import Variant, simulate
 from tpcsim.equalization import (
     EstimatedIC,
+    _candidate_distances,
     ObservationModel,
     brute_force_detect,
     build_state_sequence,
@@ -18,11 +21,14 @@ from tpcsim.equalization import (
     zf_response,
 )
 from tpcsim.errors import GridMismatchError, IndivisibleDecimationError, TooManyBitsError
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vpwm
+from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode, encode_vpwm
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
 T = 1e-6
 CFG = ModulationConfig(Scheme.VPWM, T, 0.75, 0.2)
+VPPM_CFG = ModulationConfig(Scheme.VPPM, T, 0.5, 0.1 * T)
+# largest shift: a 0 bit's pulse starts with its symbol, a 1 bit's ends with it
+VPPM_EDGE_CFG = ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T)
 IC = InitialConditions(0.75, 0.0)
 
 
@@ -242,6 +248,44 @@ def test_detection_tie_breaks_lexicographically():
     v2, _ = simulate(FAST, pat, IC, 8, Variant.EXACT)
     det = brute_force_detect(v2, FAST, cfg0, IC, J=8, K=3)
     assert np.array_equal(det, [0, 0, 0])
+
+
+def test_detection_rejects_observation_on_another_grid():
+    r = make_obs([1, 0, 1], J=8)
+    for dt, t0 in ((2 * r.dt, 0.0), (r.dt, r.dt), (r.dt * (1 + 1e-9), 0.0)):
+        with pytest.raises(GridMismatchError):
+            brute_force_detect(Waveform(dt, t0, r.samples), FAST, CFG, IC, J=8, K=3)
+    # a step that differs from T/J only by rounding is the same grid
+    same = Waveform(r.dt * (1 + 1e-15), 0.0, r.samples)
+    assert np.array_equal(brute_force_detect(same, FAST, CFG, IC, J=8, K=3), [1, 0, 1])
+
+
+@settings(max_examples=60)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),
+    J=st.sampled_from([5, 8, 16, 40]),
+    cfg=st.sampled_from([CFG, VPPM_CFG, VPPM_EDGE_CFG]),
+    variant=st.sampled_from(list(Variant)),
+    sigma=st.sampled_from([0.0, 0.002, 0.02]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_superposition_distances_equal_direct_distances(bits, J, cfg, variant, sigma, seed):
+    # detection sums per-symbol responses; the direct route simulates every
+    # candidate bit sequence on its own
+    K = len(bits)
+    v2, _ = simulate(FAST, encode(bits, cfg), IC, J, variant)
+    r = observe(v2, ObservationModel(sigma=sigma, seed=seed))
+    distances = _candidate_distances(r, FAST, cfg, IC, J, K, variant)
+    bits_matrix = (np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
+    direct = np.array(
+        [
+            np.sum((simulate(FAST, encode(b, cfg), IC, J, variant)[0].samples - r.samples) ** 2)
+            for b in bits_matrix
+        ]
+    )
+    assert np.abs(distances - direct).max() <= 1e-9 * direct.max()
+    detected = brute_force_detect(r, FAST, cfg, IC, J, K, variant)
+    assert np.array_equal(detected, bits_matrix[np.argmin(direct)])
 
 
 def test_detection_refuses_large_searches():
