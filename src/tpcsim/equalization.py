@@ -190,11 +190,12 @@ def _candidate_distances(
     h = np.einsum("kn,n->k", Y, e)
     G = np.einsum("jn,kn->jk", Y, Y)
     distances = np.array([np.einsum("n,n->", e, e)])
-    cross = np.zeros((1, K))  # sum_j b_j G_jk over each prefix's bits
+    cross = np.zeros((1, K))  # sum_j b_j G_jk over each prefix's bits, for the bits to come
     for k in range(K):
-        gain = distances + (2.0 * h[k] + G[k, k] + 2.0 * cross[:, k])
+        gain = distances + (2.0 * h[k] + G[k, k] + 2.0 * cross[:, 0])
         distances = np.stack([distances, gain], axis=1).ravel()
-        cross = np.stack([cross, cross + G[k]], axis=1).reshape(-1, K)
+        rest = cross[:, 1:]
+        cross = np.stack([rest, rest + G[k, k + 1 :]], axis=1).reshape(2 * len(rest), K - k - 1)
     return distances
 
 

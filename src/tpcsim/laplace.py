@@ -25,9 +25,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .analytic import Waveform
+from .analytic import Waveform, _modal_sum, _shaped_like
 from .circuit import CircuitParams
-from .errors import DegenerateTopologyError, RepeatedPolesError, UnstablePoleError
+from .errors import DegenerateTopologyError, RepeatedPolesError
 from .modulation import SwitchingPattern
 
 _V2_SYMBOLS = ("v2_0", "dv2_0", "d2v2_0", "d3v2_0")
@@ -281,80 +281,44 @@ def expand_strictly_proper(num: np.ndarray, den: np.ndarray, poles: np.ndarray) 
 def partial_fractions(
     r: RationalLaplace,
     ic_values: Mapping[str, float] | None = None,
-    forcing: SwitchingPattern | None = None,
-    V1: float = 1.0,
 ) -> list[tuple[float, PoleResidue]]:
-    """Pole-residue expansion of every additive term of V2(s).
+    """Pole-residue expansion of the initial-condition response of V2(s).
 
-    Returns (delay, expansion) pairs: delay 0 for the initial-condition
-    response, and one pair per switching edge whose expansion covers
-    +/-V1 * Q(s)/(s*P(s)) including the pole at s = 0 (the step's DC level).
+    Returns (delay, expansion) pairs: one pair with delay 0 when any initial
+    value is given, none otherwise.
     """
-    poles = find_poles(r)
-    terms: list[tuple[float, PoleResidue]] = []
-
-    if ic_values:
-        table = dict(r.ic_numerators)
-        unknown = set(ic_values) - set(table)
-        if unknown:
-            raise ValueError(
-                f"unknown initial-condition symbols {sorted(unknown)}; "
-                f"this model accepts {list(table)}"
-            )
-        ic_num = np.zeros(r.degree)
-        for sym, value in ic_values.items():
-            coeffs = table[sym]
-            ic_num[: len(coeffs)] += value * coeffs
-        terms.append((0.0, expand_strictly_proper(ic_num, r.den, poles)))
-
-    if forcing is not None and forcing.K:
-        dden = np.array([k * r.den[k] for k in range(1, len(r.den))])
-        h0 = r.num[0] / r.den[0]
-        step_res = _polyval_asc(r.num, poles) / (poles * _polyval_asc(dden, poles))
-        step_poles = np.concatenate([[0.0 + 0.0j], poles])
-        edges = []
-        for k in range(forcing.K):
-            edges.append((k * forcing.T + forcing.t_start[k], 1.0))
-            edges.append((k * forcing.T + forcing.t_end[k], -1.0))
-        edges.sort()
-        for tau, sign in edges:
-            residues = sign * V1 * np.concatenate([[h0], step_res])
-            terms.append((float(tau), PoleResidue(poles=step_poles, residues=residues)))
-    return terms
+    if not ic_values:
+        return []
+    table = dict(r.ic_numerators)
+    unknown = set(ic_values) - set(table)
+    if unknown:
+        raise ValueError(
+            f"unknown initial-condition symbols {sorted(unknown)}; "
+            f"this model accepts {list(table)}"
+        )
+    ic_num = np.zeros(r.degree)
+    for sym, value in ic_values.items():
+        coeffs = table[sym]
+        ic_num[: len(coeffs)] += value * coeffs
+    return [(0.0, expand_strictly_proper(ic_num, r.den, find_poles(r)))]
 
 
 def inverse_laplace_distinct(pr: PoleResidue, t):
     """sum_i residue_i * exp(pole_i * t) for t >= 0, zero before.
 
-    Conjugate pole/residue pairs cancel imaginary parts exactly; any residual
-    imaginary content above 1e-9 of the signal scale indicates an inconsistent
-    expansion and is rejected.  Poles with positive real part are refused.
+    Conjugate pole/residue pairs must match to 1e-9 relative, so the sum is
+    real; an inconsistent expansion raises ArithmeticError.  Poles with
+    positive real part raise UnstablePoleError.
     """
-    if np.any(pr.poles.real > 0.0):
-        raise UnstablePoleError(f"pole with positive real part in {pr.poles}")
-    t_arr = np.asarray(t, dtype=float)
-    tp = np.maximum(t_arr, 0.0)
-    acc = np.zeros(t_arr.shape, dtype=complex)
-    for pole, res in zip(pr.poles, pr.residues):
-        acc += res * np.exp(pole * tp)
-    scale = float(np.max(np.abs(acc.real))) if acc.size else 0.0
-    if acc.size and float(np.max(np.abs(acc.imag))) > 1e-9 * max(scale, 1e-30):
-        raise ArithmeticError("expansion is not conjugate-symmetric; result not real")
-    out = np.where(t_arr >= 0.0, acc.real, 0.0)
-    if np.isscalar(t):
-        return float(out)
-    return out
+    return evaluate_terms([(0.0, pr)], t)
 
 
 def evaluate_terms(terms, t):
     """Superpose delayed expansion terms on a time grid."""
-    t_arr = np.asarray(t, dtype=float)
-    out = np.zeros(t_arr.shape)
+    out = np.zeros(np.shape(t))
     for delay, pr in terms:
-        out += inverse_laplace_distinct(pr, t_arr - delay)
-    if np.isscalar(t):
-        return float(out)
-    return out
+        out += _modal_sum(pr.poles, pr.residues, [delay], [1.0], t)
+    return _shaped_like(t, out)
 
 
 def simulate_generalized(
@@ -368,7 +332,8 @@ def simulate_generalized(
 
     The response is the inverse transform of the initial-condition terms plus
     one +/-V1-scaled step response per switching edge, each shifted to its
-    edge time.
+    edge time; all edges share the step's residues, at the poles of the model
+    and at s = 0 (the DC level).
     """
     if isinstance(q_or_gl, ParasiticParams):
         model = build_parasitic_model(p, q_or_gl)
@@ -376,7 +341,12 @@ def simulate_generalized(
         model = build_general_load_model(p, q_or_gl)
     else:
         raise TypeError(f"expected ParasiticParams or GeneralLoad, got {type(q_or_gl)!r}")
-    terms = partial_fractions(model, ic_full, pat, p.V1)
+    ic_terms = partial_fractions(model, ic_full)
+    poles = ic_terms[0][1].poles if ic_terms else find_poles(model)
+    step = expand_strictly_proper(model.num, model.den, poles)
+    step_poles = np.concatenate([[0.0], poles])
+    step_res = p.V1 * np.concatenate([[model.num[0] / model.den[0]], step.residues / poles])
     dt = pat.T / J
     t = np.arange(pat.K * J) * dt
-    return Waveform(dt=dt, t0=0.0, samples=evaluate_terms(terms, t))
+    out = evaluate_terms(ic_terms, t) + _modal_sum(step_poles, step_res, *pat.edges(), t)
+    return Waveform(dt=dt, t0=0.0, samples=out)

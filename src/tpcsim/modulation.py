@@ -82,6 +82,17 @@ class SwitchingPattern:
     def widths(self) -> np.ndarray:
         return _readonly(self.t_end - self.t_start)
 
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute edge times, non-decreasing, and their signs: +1 on, -1 off."""
+        offsets = np.arange(self.K) * self.T
+        times = np.empty((self.K, 2))
+        times[:, 0] = offsets + self.t_start
+        times[:, 1] = offsets + self.t_end
+        signs = np.ones((self.K, 2))
+        signs[:, 1] = -1.0
+        # abutting pulses can invert by an ulp; the edges must stay ordered
+        return np.maximum.accumulate(times.ravel()), signs.ravel()
+
     def mean_duty(self) -> float:
         """Average duty cycle of the pattern (delta for both schemes' balanced use)."""
         if self.K == 0:
@@ -166,18 +177,13 @@ def sample_switching(pat: SwitchingPattern, dt: float, N: int) -> np.ndarray:
 
     A sample is 1 exactly when its time falls inside [k*T + t_start[k],
     k*T + t_end[k]) for the symbol k containing it, and 0 outside all pulses
-    or beyond the last symbol.  Edges need not align with the grid.
+    or beyond the last symbol.  Edges need not align with the grid; one within
+    1e-9 samples (+1e-12 relative) of a grid point starts there, so float
+    rounding of k*T + t_start[k] cannot make identical symbols' windows differ.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    t = np.arange(N) * dt
-    if pat.K == 0:
-        return np.zeros(N)
-    offsets = np.arange(pat.K) * pat.T
-    edges = np.empty(2 * pat.K)
-    edges[0::2] = offsets + pat.t_start
-    edges[1::2] = offsets + pat.t_end
-    # ulp-level inversions at abutting pulses would break the parity count
-    edges = np.maximum.accumulate(edges)
-    inside = np.searchsorted(edges, t, side="right") % 2 == 1
-    return np.where(inside, 1.0, 0.0)
+    x = pat.edges()[0] / dt
+    first = np.ceil(x - (1e-9 + 1e-12 * x))
+    inside = np.searchsorted(first, np.arange(N, dtype=float), side="right") & 1
+    return inside.astype(float)

@@ -27,12 +27,21 @@ def switch_level(pat, t: float) -> float:
 
 
 def input_levels(pat, V1: float) -> list[tuple[float, float]]:
-    """(time, value-after) pairs of the right-sided switching voltage."""
-    levels = []
+    """(time, value-after) pairs of the right-sided switching voltage.
+
+    The value after each edge is the running sum of +V1 (pulse start) and
+    -V1 (pulse end) steps, so abutting pulses, whose shared edge may come out
+    one ulp apart in either order, keep the level at V1 across it.
+    """
+    steps = []
     for k in range(pat.K):
-        levels.append((k * pat.T + float(pat.t_start[k]), V1))
-        levels.append((k * pat.T + float(pat.t_end[k]), 0.0))
-    levels.sort()
+        steps.append((k * pat.T + float(pat.t_start[k]), V1))
+        steps.append((k * pat.T + float(pat.t_end[k]), -V1))
+    steps.sort()
+    levels, level = [], 0.0
+    for t, step in steps:
+        level += step
+        levels.append((t, level))
     return levels
 
 
@@ -129,6 +138,29 @@ def rk4_buck(p, pat, ic, J: int, h_max=None):
     h = dt if h_max is None else min(dt, h_max)
     states = integrate_lti(A, B, x0, input_levels(pat, p.V1), t_grid, h)
     return states[:, 1], states[:, 0]
+
+
+def edge_step_sum(p, pat, V1: float, t) -> np.ndarray:
+    """Zero-state output as a literal sum of LC step responses, one per edge.
+
+    Every pulse adds V1*u(t - start) - V1*u(t - end), with
+    u(x) = 1 - exp(-a*x)*(cos(b*x) + (a/b)*sin(b*x)) for x >= 0 and 0 before,
+    a and b taken from the circuit values.  O(N*K), any t in any order.
+    """
+    a = 1.0 / (2.0 * p.C * p.R_L)
+    b = math.sqrt(1.0 / (p.L * p.C) - a * a)
+    t = np.asarray(t, dtype=float)
+
+    def step(x):
+        xp = np.maximum(x, 0.0)
+        u = 1.0 - np.exp(-a * xp) * (np.cos(b * xp) + (a / b) * np.sin(b * xp))
+        return np.where(x >= 0.0, u, 0.0)
+
+    total = np.zeros(t.shape)
+    for k in range(pat.K):
+        total += step(t - k * pat.T - pat.t_start[k])
+        total -= step(t - k * pat.T - pat.t_end[k])
+    return V1 * total
 
 
 def backward_difference_buck(p, pat, ic, J: int, clip: bool = False):

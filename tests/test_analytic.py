@@ -1,9 +1,17 @@
 """Tests for the continuous-time output-voltage model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import rk4_buck
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import edge_step_sum, rk4_buck
 from tpcsim.analytic import (
     Waveform,
     convolve_end_to_end,
@@ -16,7 +24,14 @@ from tpcsim.analytic import (
 )
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics, impulse_response
 from tpcsim.errors import ResolutionTooCoarseError
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vpwm, sample_switching
+from tpcsim.modulation import (
+    ModulationConfig,
+    Scheme,
+    alternating_bits,
+    encode_vppm,
+    encode_vpwm,
+    sample_switching,
+)
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
@@ -128,10 +143,8 @@ def test_data_component_settled_average_is_duty_times_v1():
     assert avg2 == pytest.approx(0.75, abs=1e-4)
 
 
-def test_prefix_and_direct_data_paths_agree():
+def test_data_component_matches_edge_step_sum():
     rng = np.random.default_rng(17)
-    from tpcsim.analytic import _data_component_direct, _data_component_prefix
-
     for p in (FAST, SLOW):
         d = derive_dynamics(p)
         for _ in range(10):
@@ -140,9 +153,45 @@ def test_prefix_and_direct_data_paths_agree():
             depth = rng.uniform(0.0, min(delta, 1 - delta) * 0.9)
             pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
             t = np.sort(rng.uniform(-2 * T, (len(bits) + 20) * T, 400))
-            a = _data_component_direct(d, pat, 1.0, t)
-            b = _data_component_prefix(d, pat, 1.0, t)
+            a = edge_step_sum(p, pat, 1.0, t)
+            b = data_component(d, pat, 1.0, t)
             assert np.allclose(a, b, rtol=1e-11, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(
+    slow=st.booleans(),
+    long=st.booleans(),
+    K=st.integers(1, 40),
+    scheme=st.sampled_from(["vpwm", "vppm_abutting"]),
+    delta=st.sampled_from([0.25, 0.5, 0.75]),
+    J=st.sampled_from([40, 80, 200]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_data_component_property_against_edge_step_sum(slow, long, K, scheme, delta, J, seed):
+    """Long SLOW patterns past a*K*T = 600, abutting VPPM pulses, edges on grid
+    points and on the evaluation times, unsorted and negative t."""
+    p = SLOW if slow or long else FAST
+    d = derive_dynamics(p)
+    if long:
+        K = int(np.ceil(600.0 / (d.a * T))) + 25 * K
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, K)
+    if scheme == "vpwm":
+        depth = 0.2 * min(delta, 1 - delta)
+        pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
+    else:
+        # the largest shift puts a 1-pulse's end on the next symbol's 0-pulse start
+        pat = encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+    edges, _ = pat.edges()
+    grid = rng.choice(K * J, min(K * J, 200), replace=False) * (T / J)
+    before = rng.uniform(-3 * T, 0.0, 10)
+    t = np.concatenate([grid, rng.choice(edges, 40), before, [0.0, K * T + 5 * T]])
+    rng.shuffle(t)
+    got = data_component(d, pat, p.V1, t)
+    want = edge_step_sum(p, pat, p.V1, t)
+    assert np.abs(got - want).max() <= p.V1 * (1e-12 + 1e-15 * K)
+    assert np.all(got[t < 0.0] == 0.0)
 
 
 def test_output_voltage_initial_value_exact():
@@ -243,3 +292,13 @@ def test_convolution_trapezoid_converges_to_rectangular():
         gaps.append(np.abs(out_tz.samples - out_rect.samples).max())
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.02 * np.abs(out_rect.samples).max()
+
+
+def test_import_loads_no_scipy():
+    import tpcsim
+
+    code = "import sys, tpcsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(tpcsim.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-c", code]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     general_derivative_ics,
@@ -20,13 +22,14 @@ from tpcsim.laplace import (
     build_general_load_model,
     build_parasitic_model,
     expand_strictly_proper,
+    evaluate_terms,
     find_poles,
     inverse_laplace_distinct,
     partial_fractions,
     simulate_generalized,
     transfer_at,
 )
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vpwm
+from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vppm, encode_vpwm
 
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
 T = 1e-6
@@ -197,6 +200,29 @@ def test_inverse_laplace_rejects_unstable_poles():
         inverse_laplace_distinct(pr, np.array([0.0, 1.0]))
 
 
+def test_inverse_laplace_rejects_non_conjugate_expansions():
+    t = np.linspace(0.0, 5.0, 50)
+    pair = np.array([-1.0 + 3j, -1.0 - 3j])
+    for poles, residues in (
+        (pair, np.array([0.5 + 0.1j, 0.5 + 0.1j])),  # residues not conjugate
+        (pair[:1], np.array([0.5 + 0.1j])),  # complex pole without its partner
+        (np.array([-1.0 + 0j]), np.array([1.0 + 1e-3j])),  # real pole, complex residue
+    ):
+        with pytest.raises(ArithmeticError):
+            inverse_laplace_distinct(PoleResidue(poles=poles, residues=residues), t)
+    # conjugate to rounding passes, and gives the real sum
+    ok = PoleResidue(poles=pair, residues=np.array([0.5 + 0.1j, 0.5 - 0.1j * (1 + 1e-13)]))
+    expected = np.exp(-t) * (np.cos(3 * t) - 0.2 * np.sin(3 * t))
+    assert np.allclose(inverse_laplace_distinct(ok, t), expected, rtol=0, atol=1e-12)
+
+
+def test_unstable_pole_rejected_among_delayed_terms():
+    stable = PoleResidue(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]))
+    unstable = PoleResidue(poles=np.array([-1.0 + 2j, 1e-3 - 2j]), residues=np.array([1.0, 1.0]))
+    with pytest.raises(UnstablePoleError):
+        evaluate_terms([(0.0, stable), (2.0, unstable)], np.linspace(0.0, 5.0, 20))
+
+
 def test_degenerate_simulation_matches_base_closed_form():
     pat = pattern(K=12)
     d = derive_dynamics(SLOW)
@@ -230,6 +256,32 @@ def test_parasitic_simulation_matches_state_space_oracle():
     w = simulate_generalized(SLOW, q, pat, ics, J)
     ref = rk4_parasitic(SLOW, q, pat, x0, J)
     assert np.abs(w.samples - ref).max() < 1e-3 * np.abs(ref).max()
+
+
+@settings(max_examples=25)
+@given(
+    esl_C=st.floats(1e-9, 1e-7),
+    esr_C=st.floats(0.0, 0.5),
+    K=st.integers(1, 12),
+    J=st.sampled_from([16, 40, 64]),
+    vppm=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_parasitic_simulation_property_against_state_space_oracle(esl_C, esr_C, K, J, vppm, seed):
+    """Stiff ESL (a real pole some 1e3 to 1e5 times faster than the LC pair's
+    decay), abutting VPPM pulses and edges on grid points, against
+    event-aligned RK4."""
+    q = ParasiticParams(esr_C=esr_C, esl_C=esl_C)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, K)
+    if vppm:
+        pat = encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+    else:
+        pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+    x0 = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.05, 0.05), rng.uniform(0.0, 1.0)])
+    w = simulate_generalized(SLOW, q, pat, parasitic_derivative_ics(SLOW, q, x0), J)
+    ref = rk4_parasitic(SLOW, q, pat, x0, J)
+    assert np.abs(w.samples - ref).max() < 1e-6 * np.abs(ref).max()
 
 
 def test_general_load_simulation_matches_state_space_oracle():

@@ -1,5 +1,8 @@
 """Tests for the modulation schemes and switching-signal sampling."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from tpcsim.modulation import (
     Scheme,
     SwitchingPattern,
     alternating_bits,
+    encode,
     encode_vppm,
     encode_vpwm,
     sample_switching,
@@ -114,6 +118,44 @@ def test_sample_switching_mean_approaches_duty():
         pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, delta), 1)
         s1 = sample_switching(pat, 1e-6 / J, J)
         assert abs(np.mean(s1) - delta) <= 2.0 / J
+
+
+def test_edges_are_ordered_even_where_pulses_abut():
+    # at the largest VPPM shift a 1-pulse ends where the next 0-pulse starts,
+    # and k*T + T and (k+1)*T + 0 can differ by an ulp in either order
+    pat = encode_vppm(np.tile([1, 0], 500), vppm(delta=0.5, depth=0.25e-6))
+    times, signs = pat.edges()
+    assert np.all(np.diff(times) >= 0.0)
+    assert np.array_equal(signs, np.tile([1.0, -1.0], pat.K))
+    k = np.arange(pat.K) * pat.T
+    assert np.allclose(times[0::2], k + pat.t_start, rtol=1e-15, atol=0.0)
+    assert np.allclose(times[1::2], k + pat.t_end, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("J", [40, 80, 200])
+def test_sample_switching_windows_are_exact_at_grid_ties(J):
+    """Every pulse's samples are [ceil(start*J/T), ceil(end*J/T)), with the
+    edges computed exactly from the decimal delta and depth: edges that fall
+    on grid points neither gain nor lose a sample to float rounding."""
+    rng = np.random.default_rng(J)
+    cases = ((Scheme.VPWM, "0.75", "0.2"), (Scheme.VPWM, "0.5", "0.3"), (Scheme.VPPM, "0.5", "0.25"))
+    for scheme, delta, depth in cases:
+        T = 1e-6
+        bits = np.concatenate([alternating_bits(32), rng.integers(0, 2, 32)])
+        d_dec, s_dec = Fraction(delta), Fraction(depth)
+        scale = T if scheme is Scheme.VPPM else 1.0
+        pat = encode(bits, ModulationConfig(scheme, T, float(delta), float(depth) * scale))
+        expected = np.zeros(len(bits) * J)
+        for k, b in enumerate(bits):
+            if scheme is Scheme.VPWM:
+                half = (d_dec + (2 * int(b) - 1) * s_dec) / 2
+                start, end = Fraction(1, 2) - half, Fraction(1, 2) + half
+            else:
+                center = Fraction(1, 2) + (2 * int(b) - 1) * s_dec
+                start, end = center - d_dec / 2, center + d_dec / 2
+            expected[math.ceil((k + start) * J) : math.ceil((k + end) * J)] = 1.0
+        s1 = sample_switching(pat, T / J, len(bits) * J)
+        assert np.array_equal(s1, expected), (scheme, delta, depth)
 
 
 def test_randomized_pattern_invariants():
