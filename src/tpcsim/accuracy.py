@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import Waveform, sample_output
 from .circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from .discrete import ConductionMode, Variant, simulate
-from .errors import GridMismatchError, PatternTooShortError
+from .errors import ConfigError, GridMismatchError, PatternTooShortError
 from .modulation import ModulationConfig, SwitchingPattern, encode
 
 
@@ -50,6 +50,8 @@ def reference_samples(
     """
     if settle_symbols is None:
         settle_symbols = default_settle_symbols(d, pat.T)
+    if settle_symbols < 0:
+        raise ConfigError("settle_symbols", f"must be >= 0, got {settle_symbols!r}")
     if pat.K <= settle_symbols:
         raise PatternTooShortError(
             f"pattern has {pat.K} symbols but the settling guard needs more "

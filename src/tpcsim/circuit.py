@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverdampedError
+from .errors import ConfigError, OverdampedError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class CircuitParams:
         for name in ("L", "C", "R_L", "V1"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise ConfigError(name, f"must be finite and > 0, got {value!r}")
 
     def damping_boundary(self) -> float:
         """Load resistance below which the pole pair stops being complex."""
@@ -66,8 +66,9 @@ class InitialConditions:
     dv2_0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.v2_0) and math.isfinite(self.dv2_0)):
-            raise ValueError(f"initial conditions must be finite, got {self!r}")
+        for name in ("v2_0", "dv2_0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
 
 
 def derive_dynamics(p: CircuitParams) -> Dynamics:

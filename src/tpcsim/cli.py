@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .equalization import (
     observe,
     subtract_transient,
 )
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, DepthOutOfRangeError, ModelError
 from .laplace import (
     GeneralLoad,
     ParasiticParams,
@@ -47,62 +49,238 @@ from .spectrum import ripple_spectrum, spectrum_via_fft
 
 SCHEMA_VERSION = 1
 
-_RUN_TYPES = (
-    "analytic",
-    "gtx",
-    "discrete",
-    "spectrum",
-    "accuracy",
-    "params",
-    "equalize",
-    "generalized",
-)
-
-
 # ---------------------------------------------------------------------------
 # config validation
+#
+# The field tables below check JSON types, required fields and finiteness.
+# Every range rule belongs to the domain constructor that receives the value;
+# a table bound only covers a run field that no constructor sees.
+
+_REQUIRED = object()
+
+# field -> (kind, default or _REQUIRED[, bound]).  A dict kind is a nested
+# field table, "[kind, ...]" a non-empty array.  A bound "<op> <limit>" holds
+# for the value, or each element of an array; the limit is a number or an
+# earlier field of the same object.
+_CIRCUIT = {
+    "L": ("number", _REQUIRED),
+    "C": ("number", _REQUIRED),
+    "R_L": ("number", _REQUIRED),
+    "V1": ("number", 1.0),
+}
+_MODULATION = {
+    "scheme": ("string", _REQUIRED),
+    "T": ("number", _REQUIRED),
+    "delta": ("number", _REQUIRED),
+    "depth": ("number", 0.0),
+}
+_IC = {"steady": ("boolean", False), "v2_0": ("number", 0.0), "dv2_0": ("number", 0.0)}
+_ROOT = {
+    "schema_version": ("integer", _REQUIRED),
+    "name": ("string", "scenario"),
+    "seed": ("integer", 0),
+    "circuit": (_CIRCUIT, _REQUIRED),
+    "modulation": (_MODULATION, _REQUIRED),
+    "bits": ("string or object", ""),
+    "ic": (_IC, {}),
+    "run": ("object", _REQUIRED),
+}
+_ALTERNATING = {"pattern": ("string", _REQUIRED), "K": ("integer", _REQUIRED)}
+_J = ("integer", _REQUIRED, ">= 1")
+# run.type -> the run's fields besides "type"
+_RUN = {
+    "analytic": {"J": _J},
+    "gtx": {
+        "points": ("integer", 2000, ">= 2"),
+        "t_min_periods": ("number", -1.0),
+        "t_max_periods": ("number", 10.0, "> t_min_periods"),
+    },
+    "discrete": {"J": _J, "variant": ("string", "exact"), "mode": ("string", "ccm")},
+    "spectrum": {
+        "f_min": ("number", _REQUIRED, "> 0"),
+        "f_max": ("number", _REQUIRED, "> f_min"),
+        "points": ("integer", 2000, ">= 2"),
+        "J_fft": ("integer", 64, ">= 1"),
+        "settle_symbols": ("integer", 48, ">= 0"),
+    },
+    "accuracy": {
+        "J_list": ("[integer, ...]", _REQUIRED, ">= 1"),
+        "variants": ("[string]", ["exact", "simplified", "predictive"]),
+        "settle_symbols": ("integer", None, ">= 0"),
+        "align_predictive": ("boolean", True),
+    },
+    "params": {"J": _J, "c_values": ("[number, ...]", _REQUIRED)},
+    "equalize": {
+        "J": _J,
+        "sigma": ("number", 0.0),
+        "c_factor": ("number", 1.0, "!= 0"),
+        "eps": ("number", 0.0, ">= 0"),
+    },
+    "generalized": {
+        "J": _J,
+        "topology": ("object", _REQUIRED),
+        "ic_values": ("{name: number}", {}),
+    },
+}
+# run.topology.kind -> the topology's fields besides "kind"; general_load's
+# R_L defaults to circuit.R_L
+_TOPOLOGY = {
+    "parasitic": {
+        "esr_C": ("number", 0.0),
+        "esl_C": ("number", 0.0),
+        "r_ds_on_1": ("number", 0.0),
+        "r_ds_on_2": ("number", 0.0),
+    },
+    "general_load": {
+        "R_L": ("number", None),
+        "L_L": ("number", 0.0),
+        "C_L": ('number or "inf"', "inf"),
+    },
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "!=": operator.ne}
+_JSON_TYPES = {
+    "integer": int,
+    "number": (int, float),
+    "string": str,
+    "boolean": bool,
+    "object": dict,
+    "array": list,
+    "string or object": (str, dict),
+}
 
 
-def _expect(cfg: dict, field: str, key: str, kinds, default=None, required=False):
-    path = f"{field}.{key}" if field else key
-    if key not in cfg:
-        if required:
-            raise ConfigError(path, "missing required field")
-        return default
-    value = cfg[key]
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected a number, got {value!r}")
-        return float(value)
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, kinds):
-        raise ConfigError(path, f"expected {kinds}, got {type(value).__name__}")
+def _typed(path: str, kind, value):
+    """value checked against a table kind: JSON type, and finite if a number."""
+    if isinstance(kind, dict):
+        return _section(path, _typed(path, "object", value), kind)
+    if kind.startswith("["):
+        items = _typed(path, "array", value)
+        if kind.endswith(", ...]") and not items:
+            raise ConfigError(path, "must not be empty")
+        elem = kind[1:-1].removesuffix(", ...")
+        return [_typed(f"{path}[{i}]", elem, v) for i, v in enumerate(items)]
+    if kind == "{name: number}":
+        items = _typed(path, "object", value).items()
+        return {k: _typed(f"{path}.{k}", "number", v) for k, v in items}
+    if kind == 'number or "inf"':
+        if value == "inf":
+            return math.inf
+        kind = "number"
+    # bool is an int subclass in Python; JSON keeps them apart
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(path, f"expected {kind}, got {value!r}")
+    if kind == "number":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(path, f"must be finite, got {value!r}")
     return value
 
 
-def _positive(value: float, path: str) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(path, f"must be finite and > 0, got {value!r}")
-    return value
+def _section(path: str, raw: dict, fields: dict) -> dict:
+    """Resolved copy of a config object: unknown fields rejected, defaults filled."""
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown field")
+    out = {}
+    for key, (kind, default, *bound) in fields.items():
+        if key in raw:
+            out[key] = value = _typed(prefix + key, kind, raw[key])
+        elif default is _REQUIRED:
+            raise ConfigError(prefix + key, "missing required field")
+        else:
+            out[key] = value = default if default is None else _typed(prefix + key, kind, default)
+        if bound and value is not None:
+            op, limit = bound[0].split()
+            ref = out[limit] if limit in out else float(limit)
+            values = value if isinstance(value, list) else [value]
+            if not all(_COMPARE[op](v, ref) for v in values):
+                raise ConfigError(prefix + key, f"must be {bound[0]}")
+    return out
 
 
-def _resolve_bits(raw, mod: dict) -> list[int]:
-    if isinstance(raw, str):
-        if raw and not set(raw) <= {"0", "1"}:
-            raise ConfigError("bits", f"bit string may contain only 0/1, got {raw!r}")
-        return [int(ch) for ch in raw]
-    if isinstance(raw, dict):
-        pattern = _expect(raw, "bits", "pattern", str, required=True)
-        if pattern != "alternating":
-            raise ConfigError("bits.pattern", f"unknown pattern {pattern!r}")
-        count = _expect(raw, "bits", "K", int, required=True)
-        if count < 0:
-            raise ConfigError("bits.K", "must be >= 0")
-        return [int(b) for b in alternating_bits(count)]
-    raise ConfigError("bits", "expected a 0/1 string or {pattern, K}")
+def _tagged(path: str, raw: dict, tag: str, tables: dict) -> dict:
+    """Resolve an object whose `tag` field picks its field table."""
+    if tag not in raw:
+        raise ConfigError(f"{path}.{tag}", "missing required field")
+    name = _typed(f"{path}.{tag}", "string", raw[tag])
+    if name not in tables:
+        raise ConfigError(f"{path}.{tag}", f"unknown {tag} {name!r}; one of {', '.join(tables)}")
+    return _section(path, raw, {tag: ("string", _REQUIRED), **tables[name]})
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError re-raised as a ConfigError under path."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
+    except ValueError as exc:  # enum lookups, bit values
+        raise ConfigError(path, str(exc)) from None
+
+
+def _resolve(raw) -> tuple[dict, SimpleNamespace]:
+    """The resolved config and the domain objects built from it."""
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    cfg = _section("", raw, _ROOT)
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError("schema_version", f"unsupported version {cfg['schema_version']}")
+
+    p = _checked("circuit", CircuitParams, **cfg["circuit"])
+    mod = cfg["modulation"]
+    scheme = _checked("modulation.scheme", Scheme, mod["scheme"])
+    mcfg = _checked("modulation", ModulationConfig, scheme, mod["T"], mod["delta"], mod["depth"])
+    try:
+        encode([0, 1], mcfg)
+    except DepthOutOfRangeError as exc:
+        raise ConfigError("modulation.depth", str(exc)) from None
+
+    bits = cfg["bits"]
+    if isinstance(bits, dict):
+        spec = _section("bits", bits, _ALTERNATING)
+        if spec["pattern"] != "alternating":
+            raise ConfigError("bits.pattern", f"unknown pattern {spec['pattern']!r}")
+        bits = _checked("bits", alternating_bits, spec["K"])
+    pat = _checked("bits", encode, list(bits), mcfg)
+    cfg["bits"] = [int(b) for b in bits]
+
+    ic = cfg["ic"]
+    if ic["steady"]:
+        ic.update(v2_0=mcfg.delta * p.V1, dv2_0=0.0)
+    built = SimpleNamespace(
+        p=p,
+        mcfg=mcfg,
+        bits=np.array(cfg["bits"], dtype=int),
+        pat=pat,
+        ic=_checked("ic", InitialConditions, ic["v2_0"], ic["dv2_0"]),
+    )
+
+    run = cfg["run"] = _tagged("run", cfg["run"], "type", _RUN)
+    if run["type"] == "discrete":
+        built.variant = _checked("run.variant", Variant, run["variant"])
+        built.mode = _checked("run.mode", ConductionMode, run["mode"])
+    elif run["type"] == "accuracy":
+        built.variants = [_checked("run.variants", Variant, v) for v in run["variants"]]
+    elif run["type"] == "params":
+        lc = p.L * p.C
+        built.circuits = [
+            _checked(f"run.c_values[{i}]", CircuitParams, lc / c, c, p.R_L, p.V1)
+            for i, c in enumerate(run["c_values"])
+        ]
+    elif run["type"] == "equalize":
+        built.om = _checked("run", ObservationModel, run["c_factor"], run["sigma"], cfg["seed"])
+    elif run["type"] == "generalized":
+        topo = run["topology"] = _tagged("run.topology", run["topology"], "kind", _TOPOLOGY)
+        if topo["kind"] == "general_load" and topo["R_L"] is None:
+            topo["R_L"] = p.R_L
+        load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
+        params = {k: v for k, v in topo.items() if k != "kind"}
+        built.load = _checked("run.topology", load_type, **params)
+    return cfg, built
 
 
 def validate_config(raw: dict) -> dict:
@@ -110,458 +288,128 @@ def validate_config(raw: dict) -> dict:
 
     Raises ConfigError naming the offending field on the first problem found.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    version = _expect(raw, "", "schema_version", int, required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version}")
-    seed = _expect(raw, "", "seed", int, default=0)
-    name = _expect(raw, "", "name", str, default="scenario")
+    return _resolve(raw)[0]
 
-    circuit = _expect(raw, "", "circuit", dict, required=True)
-    res_circuit = {
-        "L": _positive(_expect(circuit, "circuit", "L", float, required=True), "circuit.L"),
-        "C": _positive(_expect(circuit, "circuit", "C", float, required=True), "circuit.C"),
-        "R_L": _positive(_expect(circuit, "circuit", "R_L", float, required=True), "circuit.R_L"),
-        "V1": _positive(_expect(circuit, "circuit", "V1", float, default=1.0), "circuit.V1"),
-    }
 
-    mod = _expect(raw, "", "modulation", dict, required=True)
-    scheme = _expect(mod, "modulation", "scheme", str, required=True)
-    if scheme not in ("vpwm", "vppm", "unmodulated"):
-        raise ConfigError("modulation.scheme", f"unknown scheme {scheme!r}")
-    T = _positive(_expect(mod, "modulation", "T", float, required=True), "modulation.T")
-    delta = _expect(mod, "modulation", "delta", float, required=True)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("modulation.delta", f"must lie in (0, 1), got {delta!r}")
-    depth = _expect(mod, "modulation", "depth", float, default=0.0)
-    if depth < 0:
-        raise ConfigError("modulation.depth", f"must be >= 0, got {depth!r}")
-    if scheme == "vpwm" and depth >= min(delta, 1.0 - delta):
-        raise ConfigError(
-            "modulation.depth",
-            f"duty {delta} +/- {depth} leaves (0, 1) for some bit value",
-        )
-    if scheme == "vppm" and depth > (1.0 - delta) * T / 2.0:
-        raise ConfigError(
-            "modulation.depth",
-            f"center shift {depth} s pushes the pulse outside the period",
-        )
-    res_mod = {"scheme": scheme, "T": T, "delta": delta, "depth": depth}
+# ---------------------------------------------------------------------------
+# runners (one per run type): each takes the resolved run dict and the built
+# objects and returns {file name: Waveform, (header, rows) table or JSON object}
 
-    bits = _resolve_bits(raw.get("bits", ""), res_mod)
 
-    ic_raw = _expect(raw, "", "ic", dict, default={})
-    if ic_raw.get("steady"):
-        res_ic = {"v2_0": delta * res_circuit["V1"], "dv2_0": 0.0, "steady": True}
-    else:
-        res_ic = {
-            "v2_0": _expect(ic_raw, "ic", "v2_0", float, default=0.0),
-            "dv2_0": _expect(ic_raw, "ic", "dv2_0", float, default=0.0),
-            "steady": False,
-        }
-
-    run = _expect(raw, "", "run", dict, required=True)
-    run_type = _expect(run, "run", "type", str, required=True)
-    if run_type not in _RUN_TYPES:
-        raise ConfigError("run.type", f"unknown run type {run_type!r}; one of {_RUN_TYPES}")
-    res_run = {"type": run_type}
-
-    def _j(key="J", default=None, required=False):
-        j = _expect(run, "run", key, int, default=default, required=required)
-        if j is not None and j < 1:
-            raise ConfigError(f"run.{key}", "must be >= 1")
-        return j
-
-    if run_type in ("analytic", "discrete"):
-        res_run["J"] = _j(required=True)
-    if run_type == "gtx":
-        res_run["points"] = _expect(run, "run", "points", int, default=2000)
-        if res_run["points"] < 2:
-            raise ConfigError("run.points", "must be >= 2")
-        res_run["t_min_periods"] = _expect(run, "run", "t_min_periods", float, default=-1.0)
-        res_run["t_max_periods"] = _expect(run, "run", "t_max_periods", float, default=10.0)
-        if res_run["t_max_periods"] <= res_run["t_min_periods"]:
-            raise ConfigError("run.t_max_periods", "must exceed t_min_periods")
-    if run_type == "discrete":
-        variant = _expect(run, "run", "variant", str, default="exact")
-        if variant not in ("exact", "simplified", "predictive"):
-            raise ConfigError("run.variant", f"unknown variant {variant!r}")
-        mode = _expect(run, "run", "mode", str, default="ccm")
-        if mode not in ("ccm", "dcm"):
-            raise ConfigError("run.mode", f"unknown mode {mode!r}")
-        res_run.update(variant=variant, mode=mode)
-    if run_type == "spectrum":
-        f_min = _positive(_expect(run, "run", "f_min", float, required=True), "run.f_min")
-        f_max = _positive(_expect(run, "run", "f_max", float, required=True), "run.f_max")
-        if f_max <= f_min:
-            raise ConfigError("run.f_max", "must exceed f_min")
-        points = _expect(run, "run", "points", int, default=2000)
-        if points < 2:
-            raise ConfigError("run.points", "must be >= 2")
-        res_run.update(
-            f_min=f_min,
-            f_max=f_max,
-            points=points,
-            J_fft=_j("J_fft", default=64),
-            settle_symbols=_expect(run, "run", "settle_symbols", int, default=48),
-        )
-    if run_type == "accuracy":
-        j_list = _expect(run, "run", "J_list", list, required=True)
-        if not j_list or not all(isinstance(j, int) and j >= 1 for j in j_list):
-            raise ConfigError("run.J_list", "must be a non-empty list of integers >= 1")
-        variants = _expect(run, "run", "variants", list, default=["exact", "simplified", "predictive"])
-        for v in variants:
-            if v not in ("exact", "simplified", "predictive"):
-                raise ConfigError("run.variants", f"unknown variant {v!r}")
-        res_run.update(
-            J_list=list(j_list),
-            variants=list(variants),
-            settle_symbols=_expect(run, "run", "settle_symbols", int, default=None),
-            align_predictive=bool(run.get("align_predictive", True)),
-        )
-    if run_type == "params":
-        res_run["J"] = _j(required=True)
-        c_values = _expect(run, "run", "c_values", list, required=True)
-        if not c_values or not all(
-            isinstance(c, (int, float)) and c > 0 for c in c_values
-        ):
-            raise ConfigError("run.c_values", "must be a non-empty list of positive numbers")
-        res_run["c_values"] = [float(c) for c in c_values]
-    if run_type == "equalize":
-        res_run["J"] = _j(required=True)
-        sigma = _expect(run, "run", "sigma", float, default=0.0)
-        if sigma < 0:
-            raise ConfigError("run.sigma", "must be >= 0")
-        c_factor = _expect(run, "run", "c_factor", float, default=1.0)
-        if c_factor == 0:
-            raise ConfigError("run.c_factor", "must be nonzero")
-        eps = _expect(run, "run", "eps", float, default=0.0)
-        if eps < 0:
-            raise ConfigError("run.eps", "must be >= 0")
-        res_run.update(sigma=sigma, c_factor=c_factor, eps=eps)
-    if run_type == "generalized":
-        res_run["J"] = _j(required=True)
-        topo = _expect(run, "run", "topology", dict, required=True)
-        kind = _expect(topo, "run.topology", "kind", str, required=True)
-        if kind == "parasitic":
-            res_topo = {
-                "kind": kind,
-                "esr_C": _expect(topo, "run.topology", "esr_C", float, default=0.0),
-                "esl_C": _expect(topo, "run.topology", "esl_C", float, default=0.0),
-                "r_ds_on_1": _expect(topo, "run.topology", "r_ds_on_1", float, default=0.0),
-                "r_ds_on_2": _expect(topo, "run.topology", "r_ds_on_2", float, default=0.0),
-            }
-            for key, val in res_topo.items():
-                if key != "kind" and val < 0:
-                    raise ConfigError(f"run.topology.{key}", "must be >= 0")
-        elif kind == "general_load":
-            c_l = topo.get("C_L", "inf")
-            if c_l == "inf":
-                c_l = math.inf
-            elif isinstance(c_l, bool) or not isinstance(c_l, (int, float)) or c_l <= 0:
-                raise ConfigError("run.topology.C_L", 'must be a positive number or "inf"')
-            res_topo = {
-                "kind": kind,
-                "R_L": _positive(
-                    _expect(topo, "run.topology", "R_L", float, default=res_circuit["R_L"]),
-                    "run.topology.R_L",
-                ),
-                "L_L": _expect(topo, "run.topology", "L_L", float, default=0.0),
-                "C_L": float(c_l),
-            }
-            if res_topo["L_L"] < 0:
-                raise ConfigError("run.topology.L_L", "must be >= 0")
-        else:
-            raise ConfigError("run.topology.kind", f"unknown topology {kind!r}")
-        ic_values = _expect(run, "run", "ic_values", dict, default={})
-        for sym, val in ic_values.items():
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"run.ic_values.{sym}", f"expected a number, got {val!r}")
-        res_run.update(topology=res_topo, ic_values={k: float(v) for k, v in ic_values.items()})
-
+def _run_analytic(run, b) -> dict:
+    d = derive_dynamics(b.p)
+    dt = b.mcfg.T / run["J"]
+    t = np.arange(b.pat.K * run["J"]) * dt
+    transient = transient_component(d, b.ic, t)
+    data = data_component(d, b.pat, b.p.V1, t)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "seed": seed,
-        "circuit": res_circuit,
-        "modulation": res_mod,
-        "bits": bits,
-        "ic": res_ic,
-        "run": res_run,
+        f"v2_{name}.csv": Waveform(dt=dt, t0=0.0, samples=samples)
+        for name, samples in (("total", transient + data), ("transient", transient), ("data", data))
     }
 
 
-def _build_objects(cfg: dict):
-    c = cfg["circuit"]
-    p = CircuitParams(L=c["L"], C=c["C"], R_L=c["R_L"], V1=c["V1"])
-    m = cfg["modulation"]
-    mcfg = ModulationConfig(
-        scheme=Scheme(m["scheme"]), T=m["T"], delta=m["delta"], depth=m["depth"]
-    )
-    bits = np.array(cfg["bits"], dtype=int)
-    ic = InitialConditions(v2_0=cfg["ic"]["v2_0"], dv2_0=cfg["ic"]["dv2_0"])
-    return p, mcfg, bits, ic
+def _run_gtx(run, b) -> dict:
+    d = derive_dynamics(b.p)
+    T = b.mcfg.T
+    t = np.linspace(run["t_min_periods"] * T, run["t_max_periods"] * T, run["points"])
+    return {"gtx.csv": (["t_s", "value"], zip(t, pulse_shape_gtx(d, b.mcfg.delta * T, t)))}
 
 
-# ---------------------------------------------------------------------------
-# output helpers
+def _run_discrete(run, b) -> dict:
+    v2, iL = simulate(b.p, b.pat, b.ic, run["J"], b.variant, b.mode)
+    return {"v2_discrete.csv": v2, "il_discrete.csv": iL}
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _waveform_csv(path: Path, w: Waveform) -> None:
-    _write_csv(path, ["t_s", "value"], zip(w.times(), w.samples))
-
-
-# ---------------------------------------------------------------------------
-# runners (one per run type); each returns the list of files written
-
-
-def _run_analytic(cfg, out: Path) -> list[Path]:
-    p, mcfg, bits, ic = _build_objects(cfg)
+def _run_spectrum(run, b) -> dict:
+    p, mcfg, pat = b.p, b.mcfg, b.pat
     d = derive_dynamics(p)
-    pat = encode(bits, mcfg)
-    J = cfg["run"]["J"]
-    dt = mcfg.T / J
-    N = pat.K * J
-    t = np.arange(N) * dt
-    transient = Waveform(dt=dt, t0=0.0, samples=transient_component(d, ic, t))
-    data = Waveform(dt=dt, t0=0.0, samples=data_component(d, pat, p.V1, t))
-    total = Waveform(dt=dt, t0=0.0, samples=transient.samples + data.samples)
-    files = []
-    for name, w in (("v2_total", total), ("v2_transient", transient), ("v2_data", data)):
-        path = out / f"{name}.csv"
-        _waveform_csv(path, w)
-        files.append(path)
-    return files
-
-
-def _run_gtx(cfg, out: Path) -> list[Path]:
-    p, mcfg, _, _ = _build_objects(cfg)
-    d = derive_dynamics(p)
-    run = cfg["run"]
-    t = np.linspace(
-        run["t_min_periods"] * mcfg.T, run["t_max_periods"] * mcfg.T, run["points"]
-    )
-    g = pulse_shape_gtx(d, mcfg.delta * mcfg.T, t)
-    path = out / "gtx.csv"
-    _write_csv(path, ["t_s", "value"], zip(t, g))
-    return [path]
-
-
-def _run_discrete(cfg, out: Path) -> list[Path]:
-    p, mcfg, bits, ic = _build_objects(cfg)
-    pat = encode(bits, mcfg)
-    run = cfg["run"]
-    v2, iL = simulate(
-        p, pat, ic, run["J"], Variant(run["variant"]), ConductionMode(run["mode"])
-    )
-    files = []
-    for name, w in (("v2_discrete", v2), ("il_discrete", iL)):
-        path = out / f"{name}.csv"
-        _waveform_csv(path, w)
-        files.append(path)
-    return files
-
-
-def _run_spectrum(cfg, out: Path) -> list[Path]:
-    p, mcfg, bits, _ = _build_objects(cfg)
-    d = derive_dynamics(p)
-    pat = encode(bits, mcfg)
-    run = cfg["run"]
     grid = np.logspace(np.log10(run["f_min"]), np.log10(run["f_max"]), run["points"])
     sg = ripple_spectrum(p, d, pat, grid)
-    scale = p.V1 * mcfg.T
-    path_a = out / "spectrum.csv"
-    _write_csv(
-        path_a,
-        ["frequency_hz", "re", "im", "mag_db"],
-        zip(sg.frequencies, sg.values.real, sg.values.imag, sg.magnitude_db(scale)),
-    )
 
     # FFT cross-check: settle on a cyclically extended pattern, transform the
     # final pat.K symbols only.
-    settle = run["settle_symbols"]
+    settle, J = run["settle_symbols"], run["J_fft"]
     reps = -(-(settle + pat.K) // max(pat.K, 1))
-    bits_ext = np.tile(bits, reps)[-(settle + pat.K) :]
-    pat_ext = encode(bits_ext, mcfg)
+    pat_ext = encode(np.tile(b.bits, reps)[-(settle + pat.K) :], mcfg)
     ic = InitialConditions(v2_0=mcfg.delta * p.V1, dv2_0=0.0)
-    J = run["J_fft"]
     w_full = sample_output(d, ic, pat_ext, p.V1, mcfg.T / J, pat_ext.K * J)
-    w_win = Waveform(
-        dt=w_full.dt, t0=settle * mcfg.T, samples=w_full.samples[settle * J :]
-    )
+    w_win = Waveform(dt=w_full.dt, t0=settle * mcfg.T, samples=w_full.samples[settle * J :])
     sg_fft = spectrum_via_fft(w_win, dc_remove=pat.mean_duty() * p.V1)
-    path_f = out / "spectrum_fft.csv"
-    _write_csv(
-        path_f,
-        ["frequency_hz", "re", "im", "mag_db"],
-        zip(
-            sg_fft.frequencies,
-            sg_fft.values.real,
-            sg_fft.values.imag,
-            sg_fft.magnitude_db(scale),
-        ),
-    )
-    return [path_a, path_f]
+
+    scale = p.V1 * mcfg.T
+    return {
+        name: (
+            ["frequency_hz", "re", "im", "mag_db"],
+            zip(s.frequencies, s.values.real, s.values.imag, s.magnitude_db(scale)),
+        )
+        for name, s in (("spectrum.csv", sg), ("spectrum_fft.csv", sg_fft))
+    }
 
 
-def _run_accuracy(cfg, out: Path) -> list[Path]:
-    p, mcfg, bits, _ = _build_objects(cfg)
-    run = cfg["run"]
+def _run_accuracy(run, b) -> dict:
     reports = sweep(
-        p,
-        mcfg,
-        bits,
+        b.p,
+        b.mcfg,
+        b.bits,
         run["J_list"],
-        [Variant(v) for v in run["variants"]],
+        b.variants,
         settle_symbols=run["settle_symbols"],
         align_predictive=run["align_predictive"],
     )
-    path = out / "accuracy.csv"
-    _write_csv(
-        path,
-        ["J", "variant", "bias_over_v1", "mse_over_v1sq"],
-        (
-            (r.J, r.variant.value, r.bias / p.V1, r.mse / p.V1**2)
-            for r in reports
-        ),
-    )
-    return [path]
+    V1 = b.p.V1
+    rows = ((r.J, r.variant.value, r.bias / V1, r.mse / V1**2) for r in reports)
+    return {"accuracy.csv": (["J", "variant", "bias_over_v1", "mse_over_v1sq"], rows)}
 
 
-def _run_params(cfg, out: Path) -> list[Path]:
-    base, mcfg, _, _ = _build_objects(cfg)
-    run = cfg["run"]
-    lc = base.L * base.C
+_COEFFICIENTS = ("alpha", "beta", "gamma", "kappa", "mu")
+
+
+def _run_params(run, b) -> dict:
+    sets = (("exact", Variant.EXACT), ("approx", Variant.SIMPLIFIED))
+    header = ["C_farad", "L_henry"] + [f"{c}_{name}" for name, _ in sets for c in _COEFFICIENTS]
     rows = []
-    for c_val in run["c_values"]:
-        p = CircuitParams(L=lc / c_val, C=c_val, R_L=base.R_L, V1=base.V1)
-        exact = derive_params(p, run["J"], mcfg.T, Variant.EXACT)
-        approx = derive_params(p, run["J"], mcfg.T, Variant.SIMPLIFIED)
-        rows.append(
-            (
-                c_val,
-                p.L,
-                exact.alpha,
-                exact.beta,
-                exact.gamma,
-                exact.kappa,
-                exact.mu,
-                approx.alpha,
-                approx.beta,
-                approx.gamma,
-                approx.kappa,
-                approx.mu,
-            )
-        )
-    path = out / "coefficients.csv"
-    _write_csv(
-        path,
-        [
-            "C_farad",
-            "L_henry",
-            "alpha_exact",
-            "beta_exact",
-            "gamma_exact",
-            "kappa_exact",
-            "mu_exact",
-            "alpha_approx",
-            "beta_approx",
-            "gamma_approx",
-            "kappa_approx",
-            "mu_approx",
-        ],
-        rows,
-    )
-    return [path]
+    for q in b.circuits:
+        coeffs = [derive_params(q, run["J"], b.mcfg.T, variant) for _, variant in sets]
+        rows.append((q.C, q.L, *(getattr(dp, c) for dp in coeffs for c in _COEFFICIENTS)))
+    return {"coefficients.csv": (header, rows)}
 
 
-def _run_equalize(cfg, out: Path) -> list[Path]:
-    p, mcfg, bits, ic = _build_objects(cfg)
+def _run_equalize(run, b) -> dict:
+    p, ic, J = b.p, b.ic, run["J"]
     d = derive_dynamics(p)
-    pat = encode(bits, mcfg)
-    run = cfg["run"]
-    J = run["J"]
-    v2, _ = simulate(p, pat, ic, J, Variant.EXACT)
-    om = ObservationModel(c=run["c_factor"], sigma=run["sigma"], seed=cfg["seed"])
-    r = observe(v2, om)
+    v2, _ = simulate(p, b.pat, ic, J, Variant.EXACT)
+    r = observe(v2, b.om)
     r_v2_units = Waveform(dt=r.dt, t0=r.t0, samples=r.samples / run["c_factor"])
-    cleaned = subtract_transient(
-        r_v2_units, d, EstimatedIC(v2_0_hat=ic.v2_0, dv2_0_hat=ic.dv2_0)
-    )
-    eq = equalize_frequency_domain(cleaned, p, eps=run["eps"])
-    path_eq = out / "equalized.csv"
-    _waveform_csv(path_eq, eq)
-    files = [path_eq]
-    if 1 <= pat.K <= 12:
-        detected = brute_force_detect(r_v2_units, p, mcfg, ic, J, pat.K)
-        path_det = out / "detection.json"
-        _write_json(
-            path_det,
-            {
-                "bits_true": [int(b) for b in bits],
-                "bits_detected": [int(b) for b in detected],
-                "bit_errors": int(np.sum(detected != bits)),
-                "sigma": run["sigma"],
-                "seed": cfg["seed"],
-            },
-        )
-        files.append(path_det)
-    return files
+    cleaned = subtract_transient(r_v2_units, d, EstimatedIC(v2_0_hat=ic.v2_0, dv2_0_hat=ic.dv2_0))
+    outputs = {"equalized.csv": equalize_frequency_domain(cleaned, p, eps=run["eps"])}
+    if 1 <= b.pat.K <= 12:
+        detected = brute_force_detect(r_v2_units, p, b.mcfg, ic, J, b.pat.K)
+        outputs["detection.json"] = {
+            "bits_true": [int(x) for x in b.bits],
+            "bits_detected": [int(x) for x in detected],
+            "bit_errors": int(np.sum(detected != b.bits)),
+            "sigma": run["sigma"],
+            "seed": b.om.seed,
+        }
+    return outputs
 
 
-def _run_generalized(cfg, out: Path) -> list[Path]:
-    p, mcfg, bits, _ = _build_objects(cfg)
-    pat = encode(bits, mcfg)
-    run = cfg["run"]
-    topo = run["topology"]
-    if topo["kind"] == "parasitic":
-        obj = ParasiticParams(
-            esr_C=topo["esr_C"],
-            esl_C=topo["esl_C"],
-            r_ds_on_1=topo["r_ds_on_1"],
-            r_ds_on_2=topo["r_ds_on_2"],
-        )
-        model = build_parasitic_model(p, obj)
+def _run_generalized(run, b) -> dict:
+    if isinstance(b.load, ParasiticParams):
+        model = build_parasitic_model(b.p, b.load)
     else:
-        obj = GeneralLoad(R_L=topo["R_L"], L_L=topo["L_L"], C_L=topo["C_L"])
-        model = build_general_load_model(p, obj)
+        model = build_general_load_model(b.p, b.load)
     poles = find_poles(model)
-    w = simulate_generalized(p, obj, pat, run["ic_values"], run["J"])
-    path_w = out / "v2_generalized.csv"
-    _waveform_csv(path_w, w)
-    path_m = out / "model.json"
-    _write_json(
-        path_m,
-        {
+    w = simulate_generalized(b.p, b.load, b.pat, run["ic_values"], run["J"])
+    return {
+        "v2_generalized.csv": w,
+        "model.json": {
             "num_ascending": [float(x) for x in model.num],
             "den_ascending": [float(x) for x in model.den],
             "poles": [[float(z.real), float(z.imag)] for z in poles],
             "dc_gain": float(transfer_at(model, 0.0).real),
         },
-    )
-    return [path_w, path_m]
+    }
 
 
 _RUNNERS = {
@@ -576,14 +424,42 @@ _RUNNERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# output
+
+
+def _render(content) -> str:
+    """CSV text of a Waveform or (header, rows) table; JSON text of anything else."""
+    if isinstance(content, Waveform):
+        content = (["t_s", "value"], zip(content.times(), content.samples))
+    if not isinstance(content, tuple):
+        return json.dumps(content, indent=2, sort_keys=True) + "\n"
+    header, rows = content
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(x if isinstance(x, str) else f"{float(x):.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def run_scenario(config: dict, out_dir) -> list[Path]:
     """Validate and execute one scenario, writing outputs plus sidecars."""
-    cfg = validate_config(config)
+    cfg, built = _resolve(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = _RUNNERS[cfg["run"]["type"]](cfg, out)
-    for f in files:
-        _write_json(f.with_name(f.name + ".meta.json"), cfg)
+    outputs = _RUNNERS[cfg["run"]["type"]](cfg["run"], built)
+    meta = _render(cfg)
+    files = []
+    for name, content in outputs.items():
+        path = out / name
+        _atomic_write(path, _render(content))
+        _atomic_write(path.with_name(name + ".meta.json"), meta)
+        files.append(path)
     print(f"{cfg['name']}: wrote {', '.join(str(f) for f in files)}")
     return files
 

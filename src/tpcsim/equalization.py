@@ -11,6 +11,7 @@ against the trajectories of all candidate bit sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .circuit import (
     initial_inductor_current,
 )
 from .discrete import Variant, _iterate, derive_params
-from .errors import GridMismatchError, IndivisibleDecimationError, TooManyBitsError
+from .errors import ConfigError, GridMismatchError, IndivisibleDecimationError, TooManyBitsError
 from .modulation import ModulationConfig, encode, sample_switching
 
 
@@ -37,8 +38,10 @@ class ObservationModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
+        if not math.isfinite(self.c):
+            raise ConfigError("c", f"must be finite, got {self.c!r}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError("sigma", f"must be finite and >= 0, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)

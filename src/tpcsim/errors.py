@@ -53,9 +53,15 @@ class DegenerateTopologyError(ModelError):
     """Requested circuit extension is not expressible as a single rational transfer model."""
 
 
-class ConfigError(Exception):
-    """Invalid scenario configuration (CLI exit code 2)."""
+class ConfigError(ValueError):
+    """Invalid parameter value or scenario configuration (CLI exit code 2).
+
+    field names the offending value: the argument name when a domain
+    constructor raises it, the full config path (e.g. modulation.delta) when
+    the CLI does.
+    """
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")

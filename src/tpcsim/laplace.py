@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import Waveform, _modal_sum, _shaped_like
 from .circuit import CircuitParams
-from .errors import DegenerateTopologyError, RepeatedPolesError
+from .errors import ConfigError, DegenerateTopologyError, RepeatedPolesError
 from .modulation import SwitchingPattern
 
 _V2_SYMBOLS = ("v2_0", "dv2_0", "d2v2_0", "d3v2_0")
@@ -45,8 +45,9 @@ class ParasiticParams:
 
     def __post_init__(self):
         for name in ("esr_C", "esl_C", "r_ds_on_1", "r_ds_on_2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(name, f"must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,12 @@ class GeneralLoad:
     C_L: float = math.inf
 
     def __post_init__(self):
-        if self.R_L <= 0:
-            raise ValueError("R_L must be > 0")
-        if self.L_L < 0:
-            raise ValueError("L_L must be >= 0")
+        if not (math.isfinite(self.R_L) and self.R_L > 0):
+            raise ConfigError("R_L", f"must be finite and > 0, got {self.R_L!r}")
+        if not (math.isfinite(self.L_L) and self.L_L >= 0):
+            raise ConfigError("L_L", f"must be finite and >= 0, got {self.L_L!r}")
         if not self.C_L > 0:
-            raise ValueError("C_L must be > 0 (math.inf for a short)")
+            raise ConfigError("C_L", f"must be > 0 (math.inf for a short), got {self.C_L!r}")
 
 
 def _readonly(a, dtype=float) -> np.ndarray:

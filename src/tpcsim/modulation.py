@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DepthOutOfRangeError
+from .errors import ConfigError, DepthOutOfRangeError
 
 
 class Scheme(Enum):
@@ -37,11 +37,11 @@ class ModulationConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"T must be finite and > 0, got {self.T!r}")
+            raise ConfigError("T", f"must be finite and > 0, got {self.T!r}")
         if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth!r}")
+            raise ConfigError("delta", f"must lie in (0, 1), got {self.delta!r}")
+        if not (math.isfinite(self.depth) and self.depth >= 0):
+            raise ConfigError("depth", f"must be finite and >= 0, got {self.depth!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -111,6 +111,8 @@ def _validated_bits(bits) -> np.ndarray:
 
 def alternating_bits(K: int) -> np.ndarray:
     """The [1, 0, 1, 0, ...] test sequence of length K."""
+    if K < 0:
+        raise ConfigError("K", f"must be >= 0, got {K!r}")
     return (1 - np.arange(K) % 2).astype(int)
 
 
@@ -164,12 +166,12 @@ def unmodulated_pattern(cfg: ModulationConfig, K: int) -> SwitchingPattern:
 
 
 def encode(bits, cfg: ModulationConfig) -> SwitchingPattern:
-    """Dispatch on cfg.scheme; UNMODULATED ignores the bit values."""
+    """Dispatch on cfg.scheme; UNMODULATED checks the bit values but ignores them."""
     if cfg.scheme is Scheme.VPWM:
         return encode_vpwm(bits, cfg)
     if cfg.scheme is Scheme.VPPM:
         return encode_vppm(bits, cfg)
-    return unmodulated_pattern(cfg, len(np.asarray(bits)))
+    return unmodulated_pattern(cfg, len(_validated_bits(bits)))
 
 
 def sample_switching(pat: SwitchingPattern, dt: float, N: int) -> np.ndarray:

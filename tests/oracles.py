@@ -13,17 +13,28 @@ from __future__ import annotations
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 
 
-def switch_level(pat, t: float) -> float:
-    """Ideal two-level signal from the pattern's edge arrays, own logic."""
-    k = int(math.floor(t / pat.T))
-    if k < 0 or k >= pat.K:
-        return 0.0
-    local = t - k * pat.T
-    return 1.0 if pat.t_start[k] <= local < pat.t_end[k] else 0.0
+def switch_level(pat, J: int, N: int) -> np.ndarray:
+    """Ideal two-level signal at the sample times n*T/J, n < N, from exact edges.
+
+    Each edge is taken, in units of T, as the nearest fraction with a
+    denominator up to 10**9.  That recovers edges computed from short decimal
+    inputs exactly (delta 0.75 and depth 0.2 give 1/40 and 39/40), so a sample
+    on an edge follows the half-open [t_start, t_end) rule instead of float
+    rounding.
+    """
+    s1 = np.zeros(N)
+    for k in range(pat.K):
+        start, end = (
+            k + Fraction(float(x) / pat.T).limit_denominator(10**9)
+            for x in (pat.t_start[k], pat.t_end[k])
+        )
+        s1[math.ceil(start * J) : math.ceil(end * J)] = 1.0
+    return s1
 
 
 def input_levels(pat, V1: float) -> list[tuple[float, float]]:
@@ -189,11 +200,12 @@ def backward_difference_buck(p, pat, ic, J: int, clip: bool = False):
             ]
         )
     )
+    s1 = switch_level(pat, J, N)
     x = np.array([ic.v2_0 / p.R_L + p.C * ic.dv2_0, ic.v2_0])
     out = np.empty((N, 2))
     out[0] = x
     for n in range(1, N):
-        rhs = np.array([p.L / dt * x[0] + p.V1 * switch_level(pat, n * dt), p.C / dt * x[1]])
+        rhs = np.array([p.L / dt * x[0] + p.V1 * s1[n], p.C / dt * x[1]])
         x = lhs_inv @ rhs
         if clip and x[0] < 0.0:
             x = np.array([0.0, p.C / dt * out[n - 1, 1] / (p.C / dt + 1.0 / p.R_L)])
@@ -223,14 +235,15 @@ def euler_buck(p, pat, ic, J: int, semi_implicit: bool, clip: bool = False):
     """
     dt = pat.T / J
     N = pat.K * J
+    s1 = switch_level(pat, J, N)
     iL_out = np.empty(N)
     v2_out = np.empty(N)
     iL_out[0] = ic.v2_0 / p.R_L + p.C * ic.dv2_0
     v2_out[0] = ic.v2_0
     for n in range(1, N):
         iL, v2 = iL_out[n - 1], v2_out[n - 1]
-        t_drive = n * dt if semi_implicit else (n - 1) * dt
-        iL_new = iL + dt / p.L * (p.V1 * switch_level(pat, t_drive) - v2)
+        drive = s1[n] if semi_implicit else s1[n - 1]
+        iL_new = iL + dt / p.L * (p.V1 * drive - v2)
         if clip and iL_new < 0.0:
             iL_new = 0.0
         iL_out[n] = iL_new

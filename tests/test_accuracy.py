@@ -13,7 +13,7 @@ from tpcsim.accuracy import (
 from tpcsim.analytic import Waveform
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics
 from tpcsim.discrete import Variant
-from tpcsim.errors import GridMismatchError, PatternTooShortError
+from tpcsim.errors import ConfigError, GridMismatchError, PatternTooShortError
 from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vpwm
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
@@ -37,6 +37,13 @@ def test_reference_requires_long_enough_pattern():
     ref = reference_samples(d, ic, pat, 1.0, 8, settle_symbols=8)
     assert len(ref) == (64 - 8) * 8
     assert ref.t0 == pytest.approx(8 * T)
+
+
+def test_reference_rejects_negative_settle_guard():
+    d = derive_dynamics(FAST)
+    pat = encode_vpwm(alternating_bits(64), ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+    with pytest.raises(ConfigError, match="settle_symbols"):
+        reference_samples(d, InitialConditions(0.75, 0.0), pat, 1.0, 8, settle_symbols=-5)
 
 
 def test_reference_decimation_consistency():

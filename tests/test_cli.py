@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +162,94 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "fig4_ltspice_check" in proc.stdout
+
+
+def test_presets_resolve_to_committed_configs():
+    """The resolved form of every preset, as its sidecars carry it, compared
+    as JSON so that an int turning into a float shows too."""
+    expected = json.loads((Path(__file__).parent / "data" / "resolved_presets.json").read_text())
+    assert sorted(expected) == list_presets()
+    for name in list_presets():
+        cfg = get_preset(name)
+        cfg.setdefault("name", name)
+        got = json.dumps(validate_config(cfg), sort_keys=True)
+        assert got == json.dumps(expected[name], sort_keys=True), name
+
+
+def _mutated(preset, changes):
+    cfg = get_preset(preset)
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+    return cfg
+
+
+NAN, INF = float("nan"), float("inf")
+FIG4, SPECTRUM, ACCURACY, PARAMS = "fig4_ltspice_check", "fig5_spectrum", "fig7_mse", "fig8_params"
+GTX, EQUALIZE, GENERALIZED = "fig2_gtx", "equalize_k8", "generalized_parasitic"
+DISCRETE = {"type": "discrete", "J": 10}
+LOAD = {"kind": "general_load"}
+
+# (preset, changes, field named in the error, exit code)
+REJECTED = [
+    # rules the domain constructors own
+    (FIG4, {"circuit.L": -1e-6}, "circuit.L", 2),
+    (FIG4, {"circuit.C": 0.0}, "circuit.C", 2),
+    (FIG4, {"circuit.R_L": -20.0}, "circuit.R_L", 2),
+    (FIG4, {"circuit.V1": 0.0}, "circuit.V1", 2),
+    (FIG4, {"modulation.scheme": "qam"}, "modulation.scheme", 2),
+    (FIG4, {"modulation.T": 0.0}, "modulation.T", 2),
+    (FIG4, {"modulation.delta": 1.0}, "modulation.delta", 2),
+    (FIG4, {"modulation.depth": -0.01}, "modulation.depth", 2),
+    (FIG4, {"modulation.depth": 0.25}, "modulation.depth", 2),
+    (FIG4, {"modulation.scheme": "vppm", "modulation.depth": 0.2e-6}, "modulation.depth", 2),
+    (FIG4, {"bits": "10x"}, "bits", 2),
+    (FIG4, {"bits": "102"}, "bits", 2),
+    (GTX, {"bits": "12"}, "bits", 2),
+    (FIG4, {"bits": {"pattern": "alternating", "K": -1}}, "bits.K", 2),
+    (FIG4, {"bits": {"pattern": "random", "K": 4}}, "bits.pattern", 2),
+    (FIG4, {"run": {**DISCRETE, "variant": "implicit"}}, "run.variant", 2),
+    (FIG4, {"run": {**DISCRETE, "mode": "bcm"}}, "run.mode", 2),
+    (ACCURACY, {"run.variants": ["exact", "implicit"]}, "run.variants", 2),
+    (PARAMS, {"run.c_values": [1e-6, -1e-7]}, "run.c_values[1].L", 2),
+    (EQUALIZE, {"run.sigma": -0.1}, "run.sigma", 2),
+    (GENERALIZED, {"run.topology.esr_C": -0.1}, "run.topology.esr_C", 2),
+    (GENERALIZED, {"run.topology.kind": "buck_boost"}, "run.topology.kind", 2),
+    (GENERALIZED, {"run.topology": {**LOAD, "R_L": -1.0}}, "run.topology.R_L", 2),
+    (GENERALIZED, {"run.topology": {**LOAD, "L_L": -1e-6}}, "run.topology.L_L", 2),
+    (GENERALIZED, {"run.topology": {**LOAD, "C_L": 0.0}}, "run.topology.C_L", 2),
+    # a negative settle guard
+    (SPECTRUM, {"run.settle_symbols": -60}, "run.settle_symbols", 2),
+    (ACCURACY, {"run.settle_symbols": -5}, "run.settle_symbols", 2),
+    # booleans that are not JSON booleans, and JSON booleans as numbers
+    (FIG4, {"ic": {"steady": "false"}}, "ic.steady", 2),
+    (ACCURACY, {"run.align_predictive": "no"}, "run.align_predictive", 2),
+    (PARAMS, {"run.c_values": [True]}, "run.c_values[0]", 2),
+    # non-finite numbers
+    (FIG4, {"ic": {"v2_0": INF}}, "ic.v2_0", 2),
+    (GTX, {"run.t_max_periods": INF}, "run.t_max_periods", 2),
+    (GENERALIZED, {"run.topology.esr_C": NAN}, "run.topology.esr_C", 2),
+    (GENERALIZED, {"run.ic_values": {"v2_0": NAN}}, "run.ic_values.v2_0", 2),
+    (FIG4, {"circuit.L": 10**400}, "circuit.L", 2),
+    # unknown fields
+    (GENERALIZED, {"run.topology.esr": 0.1}, "run.topology.esr", 2),
+    (FIG4, {"circuit.Rl": 20.0}, "circuit.Rl", 2),
+    (GTX, {"run.J": 8}, "run.J", 2),
+    # bounds on run fields that no constructor receives
+    (FIG4, {"run.J": 0}, "run.J", 2),
+    (SPECTRUM, {"run.f_max": 1.0}, "run.f_max", 2),
+    (EQUALIZE, {"run.c_factor": 0.0}, "run.c_factor", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, changes, field, code", REJECTED, ids=[f"{row[0]}:{row[2]}" for row in REJECTED]
+)
+def test_rejected_config_names_its_field(tmp_path, capsys, preset, changes, field, code):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_mutated(preset, changes)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    assert f"config error: {field}: " in capsys.readouterr().err

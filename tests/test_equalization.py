@@ -44,6 +44,12 @@ def test_observe_identity_and_scaling():
     assert np.array_equal(observe(w, ObservationModel(c=2.0, sigma=0.0)).samples, 2 * w.samples)
 
 
+@pytest.mark.parametrize("kwargs", [{"sigma": -0.1}, {"sigma": float("nan")}, {"c": float("inf")}])
+def test_observation_model_rejects_negative_or_non_finite(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ObservationModel(**kwargs)
+
+
 def test_observe_noise_statistics():
     w = Waveform(dt=1e-8, t0=0.0, samples=np.zeros(100000))
     sigma = 0.05

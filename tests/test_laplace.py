@@ -310,3 +310,26 @@ def test_unknown_ic_symbol_rejected():
     pat = pattern(K=2)
     with pytest.raises(ValueError):
         simulate_generalized(SLOW, model_params, pat, {"d3v2_0": 1.0}, 8)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"esr_C": float("nan")}, {"esl_C": float("inf")}, {"r_ds_on_1": -1.0}],
+)
+def test_parasitic_params_reject_negative_or_non_finite(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ParasiticParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"R_L": float("inf")},
+        {"R_L": 0.0},
+        {"R_L": 1.0, "L_L": float("nan")},
+        {"R_L": 1.0, "C_L": float("nan")},
+    ],
+)
+def test_general_load_rejects_out_of_range_or_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        GeneralLoad(**kwargs)

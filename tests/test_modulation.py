@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import switch_level
 from tpcsim.errors import DepthOutOfRangeError
 from tpcsim.modulation import (
     ModulationConfig,
@@ -156,6 +157,17 @@ def test_sample_switching_windows_are_exact_at_grid_ties(J):
             expected[math.ceil((k + start) * J) : math.ceil((k + end) * J)] = 1.0
         s1 = sample_switching(pat, T / J, len(bits) * J)
         assert np.array_equal(s1, expected), (scheme, delta, depth)
+
+
+@pytest.mark.parametrize("J", [40, 80, 200])
+def test_sample_switching_matches_switch_level_oracle(J):
+    """64 alternating VPWM symbols, delta 0.75, depth 0.2: every edge is on a
+    grid point at these J, so float rounding of an edge shows up as a sample
+    the oracle sees on the other side."""
+    cfg = vpwm()
+    pat = encode(alternating_bits(64), cfg)
+    N = pat.K * J
+    assert np.array_equal(sample_switching(pat, cfg.T / J, N), switch_level(pat, J, N))
 
 
 def test_randomized_pattern_invariants():
