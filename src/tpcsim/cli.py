@@ -59,9 +59,9 @@ SCHEMA_VERSION = 1
 _REQUIRED = object()
 
 # field -> (kind, default or _REQUIRED[, bound]).  A dict kind is a nested
-# field table, "[kind, ...]" a non-empty array.  A bound "<op> <limit>" holds
-# for the value, or each element of an array; the limit is a number or an
-# earlier field of the same object.
+# field table, "[kind, ...]" a non-empty array.  A bound (op, limit) means
+# op(value, limit) holds for the value, or each element of an array; the limit
+# is a number or the name of an earlier field of the same object.
 _CIRCUIT = {
     "L": ("number", _REQUIRED),
     "C": ("number", _REQUIRED),
@@ -86,35 +86,35 @@ _ROOT = {
     "run": ("object", _REQUIRED),
 }
 _ALTERNATING = {"pattern": ("string", _REQUIRED), "K": ("integer", _REQUIRED)}
-_J = ("integer", _REQUIRED, ">= 1")
+_J = ("integer", _REQUIRED, (operator.ge, 1))
 # run.type -> the run's fields besides "type"
 _RUN = {
     "analytic": {"J": _J},
     "gtx": {
-        "points": ("integer", 2000, ">= 2"),
+        "points": ("integer", 2000, (operator.ge, 2)),
         "t_min_periods": ("number", -1.0),
-        "t_max_periods": ("number", 10.0, "> t_min_periods"),
+        "t_max_periods": ("number", 10.0, (operator.gt, "t_min_periods")),
     },
     "discrete": {"J": _J, "variant": ("string", "exact"), "mode": ("string", "ccm")},
     "spectrum": {
-        "f_min": ("number", _REQUIRED, "> 0"),
-        "f_max": ("number", _REQUIRED, "> f_min"),
-        "points": ("integer", 2000, ">= 2"),
-        "J_fft": ("integer", 64, ">= 1"),
-        "settle_symbols": ("integer", 48, ">= 0"),
+        "f_min": ("number", _REQUIRED, (operator.gt, 0)),
+        "f_max": ("number", _REQUIRED, (operator.gt, "f_min")),
+        "points": ("integer", 2000, (operator.ge, 2)),
+        "J_fft": ("integer", 64, (operator.ge, 1)),
+        "settle_symbols": ("integer", 48, (operator.ge, 0)),
     },
     "accuracy": {
-        "J_list": ("[integer, ...]", _REQUIRED, ">= 1"),
+        "J_list": ("[integer, ...]", _REQUIRED, (operator.ge, 1)),
         "variants": ("[string]", ["exact", "simplified", "predictive"]),
-        "settle_symbols": ("integer", None, ">= 0"),
+        "settle_symbols": ("integer", None, (operator.ge, 0)),
         "align_predictive": ("boolean", True),
     },
-    "params": {"J": _J, "c_values": ("[number, ...]", _REQUIRED)},
+    "params": {"J": _J, "c_values": ("[number, ...]", _REQUIRED, (operator.gt, 0))},
     "equalize": {
         "J": _J,
         "sigma": ("number", 0.0),
-        "c_factor": ("number", 1.0, "!= 0"),
-        "eps": ("number", 0.0, ">= 0"),
+        "c_factor": ("number", 1.0),
+        "eps": ("number", 0.0, (operator.ge, 0)),
     },
     "generalized": {
         "J": _J,
@@ -137,7 +137,7 @@ _TOPOLOGY = {
         "C_L": ('number or "inf"', "inf"),
     },
 }
-_COMPARE = {">=": operator.ge, ">": operator.gt, "!=": operator.ne}
+_SYMBOLS = {operator.ge: ">=", operator.gt: ">"}
 _JSON_TYPES = {
     "integer": int,
     "number": (int, float),
@@ -194,11 +194,11 @@ def _section(path: str, raw: dict, fields: dict) -> dict:
         else:
             out[key] = value = default if default is None else _typed(prefix + key, kind, default)
         if bound and value is not None:
-            op, limit = bound[0].split()
-            ref = out[limit] if limit in out else float(limit)
+            op, limit = bound[0]
+            ref = out[limit] if isinstance(limit, str) else limit
             values = value if isinstance(value, list) else [value]
-            if not all(_COMPARE[op](v, ref) for v in values):
-                raise ConfigError(prefix + key, f"must be {bound[0]}")
+            if not all(op(v, ref) for v in values):
+                raise ConfigError(prefix + key, f"must be {_SYMBOLS[op]} {limit}")
     return out
 
 
@@ -272,7 +272,11 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
             for i, c in enumerate(run["c_values"])
         ]
     elif run["type"] == "equalize":
-        built.om = _checked("run", ObservationModel, run["c_factor"], run["sigma"], cfg["seed"])
+        try:
+            built.om = ObservationModel(run["c_factor"], run["sigma"], cfg["seed"])
+        except ConfigError as exc:
+            path = {"c": "run.c_factor", "sigma": "run.sigma", "seed": "seed"}[exc.field]
+            raise ConfigError(path, exc.message) from None
     elif run["type"] == "generalized":
         topo = run["topology"] = _tagged("run.topology", run["topology"], "kind", _TOPOLOGY)
         if topo["kind"] == "general_load" and topo["R_L"] is None:

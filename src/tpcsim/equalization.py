@@ -38,10 +38,12 @@ class ObservationModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ConfigError("c", f"must be finite, got {self.c!r}")
+        if not (math.isfinite(self.c) and self.c != 0):
+            raise ConfigError("c", f"must be finite and != 0, got {self.c!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError("sigma", f"must be finite and >= 0, got {self.sigma!r}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -214,8 +214,9 @@ REJECTED = [
     (FIG4, {"run": {**DISCRETE, "variant": "implicit"}}, "run.variant", 2),
     (FIG4, {"run": {**DISCRETE, "mode": "bcm"}}, "run.mode", 2),
     (ACCURACY, {"run.variants": ["exact", "implicit"]}, "run.variants", 2),
-    (PARAMS, {"run.c_values": [1e-6, -1e-7]}, "run.c_values[1].L", 2),
     (EQUALIZE, {"run.sigma": -0.1}, "run.sigma", 2),
+    (EQUALIZE, {"run.c_factor": 0.0}, "run.c_factor", 2),
+    (EQUALIZE, {"seed": -1}, "seed", 2),
     (GENERALIZED, {"run.topology.esr_C": -0.1}, "run.topology.esr_C", 2),
     (GENERALIZED, {"run.topology.kind": "buck_boost"}, "run.topology.kind", 2),
     (GENERALIZED, {"run.topology": {**LOAD, "R_L": -1.0}}, "run.topology.R_L", 2),
@@ -238,10 +239,12 @@ REJECTED = [
     (GENERALIZED, {"run.topology.esr": 0.1}, "run.topology.esr", 2),
     (FIG4, {"circuit.Rl": 20.0}, "circuit.Rl", 2),
     (GTX, {"run.J": 8}, "run.J", 2),
-    # bounds on run fields that no constructor receives
+    # bounds on run fields that no constructor receives, and on c_values,
+    # which the command line divides L*C by before CircuitParams sees it
     (FIG4, {"run.J": 0}, "run.J", 2),
     (SPECTRUM, {"run.f_max": 1.0}, "run.f_max", 2),
-    (EQUALIZE, {"run.c_factor": 0.0}, "run.c_factor", 2),
+    (PARAMS, {"run.c_values": [1e-6, -1e-7]}, "run.c_values", 2),
+    (PARAMS, {"run.c_values": [0.0]}, "run.c_values", 2),
 ]
 
 

@@ -50,6 +50,12 @@ def test_observation_model_rejects_negative_or_non_finite(kwargs):
         ObservationModel(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"c": 0.0}, {"seed": -1}])
+def test_observation_model_rejects_zero_scale_or_negative_seed(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ObservationModel(**kwargs)
+
+
 def test_observe_noise_statistics():
     w = Waveform(dt=1e-8, t0=0.0, samples=np.zeros(100000))
     sigma = 0.05
