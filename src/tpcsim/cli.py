@@ -41,6 +41,7 @@ from .laplace import (
     build_general_load_model,
     build_parasitic_model,
     find_poles,
+    partial_fractions,
     simulate_generalized,
     transfer_at,
 )
@@ -281,9 +282,16 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         topo = run["topology"] = _tagged("run.topology", run["topology"], "kind", _TOPOLOGY)
         if topo["kind"] == "general_load" and topo["R_L"] is None:
             topo["R_L"] = p.R_L
-        load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
+        load_type, build_model = (
+            (ParasiticParams, build_parasitic_model)
+            if topo["kind"] == "parasitic"
+            else (GeneralLoad, build_general_load_model)
+        )
         params = {k: v for k, v in topo.items() if k != "kind"}
         built.load = _checked("run.topology", load_type, **params)
+        built.model = build_model(p, built.load)
+        # the model owns its initial-condition symbols
+        _checked("run.ic_values", partial_fractions, built.model, run["ic_values"])
     return cfg, built
 
 
@@ -399,10 +407,7 @@ def _run_equalize(run, b) -> dict:
 
 
 def _run_generalized(run, b) -> dict:
-    if isinstance(b.load, ParasiticParams):
-        model = build_parasitic_model(b.p, b.load)
-    else:
-        model = build_general_load_model(b.p, b.load)
+    model = b.model
     poles = find_poles(model)
     w = simulate_generalized(b.p, b.load, b.pat, run["ic_values"], run["J"])
     return {

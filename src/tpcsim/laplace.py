@@ -286,17 +286,15 @@ def partial_fractions(
     """Pole-residue expansion of the initial-condition response of V2(s).
 
     Returns (delay, expansion) pairs: one pair with delay 0 when any initial
-    value is given, none otherwise.
+    value is given, none otherwise.  A symbol the model does not know raises
+    ConfigError naming it.
     """
     if not ic_values:
         return []
     table = dict(r.ic_numerators)
-    unknown = set(ic_values) - set(table)
+    unknown = sorted(set(ic_values) - set(table))
     if unknown:
-        raise ValueError(
-            f"unknown initial-condition symbols {sorted(unknown)}; "
-            f"this model accepts {list(table)}"
-        )
+        raise ConfigError(unknown[0], f"unknown initial-condition symbol; one of {list(table)}")
     ic_num = np.zeros(r.degree)
     for sym, value in ic_values.items():
         coeffs = table[sym]

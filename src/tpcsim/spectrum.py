@@ -19,6 +19,8 @@ from .circuit import CircuitParams, Dynamics
 from .errors import ZeroFrequencyError
 from .modulation import SwitchingPattern
 
+_BLOCK = 128  # frequencies and symbols per block: each complex temporary <= 256 KB
+
 
 @dataclass(frozen=True)
 class SpectrumGrid:
@@ -56,19 +58,46 @@ def v1_spectrum(pat: SwitchingPattern, V1: float, f):
     (V1/(j2pi f)) * sum_k (exp(-j2pi f t_s[k]) - exp(-j2pi f t_e[k])) * exp(-j2pi f kT).
     Raises ZeroFrequencyError for f = 0, where the transform carries the DC
     Dirac handled separately.
+
+    The sum runs over blocks of _BLOCK frequencies and _BLOCK symbols.  With
+    z = exp(-j2pi f T), symbol k0 + i of a block contributes z^k0 * z^i * c_k:
+    z^i comes from one table per frequency block, z^k0 from one exponential
+    per symbol block, and c_k from the phasors of the distinct edge times.
     """
     f_arr = np.asarray(f, dtype=float)
     if np.any(f_arr == 0.0):
         raise ZeroFrequencyError("f = 0 is carried by the DC mass, not the grid")
-    jw = 2j * np.pi * f_arr
-    total = np.zeros(f_arr.shape, dtype=complex)
-    for k in range(pat.K):
-        phase = np.exp(-jw * (k * pat.T))
-        total += (np.exp(-jw * pat.t_start[k]) - np.exp(-jw * pat.t_end[k])) * phase
-    out = V1 / jw * total
+    w = 2.0 * np.pi * f_arr.ravel()
+    total = np.zeros(w.shape, dtype=complex)
+    edges = [np.unique(t, return_inverse=True) for t in (pat.t_start, pat.t_end)]
+    lags = np.arange(min(pat.K, _BLOCK)) * pat.T
+    for lo in range(0, w.size, _BLOCK):
+        wb = w[lo : lo + _BLOCK]
+        z_i = np.exp(-1j * np.multiply.outer(lags, wb))
+        start, end = (_edge_phasors(u, inv, wb) for u, inv in edges)
+        for k0 in range(0, pat.K, _BLOCK):
+            k1 = min(k0 + _BLOCK, pat.K)
+            terms = start(k0, k1)
+            terms -= end(k0, k1)
+            terms *= z_i[: k1 - k0]
+            # a sum, not @, keeps this off BLAS (see equalization)
+            total[lo : lo + _BLOCK] += np.exp(-1j * wb * (k0 * pat.T)) * terms.sum(axis=0)
+    out = V1 / (2j * np.pi * f_arr) * total.reshape(f_arr.shape)
     if np.isscalar(f):
         return complex(out)
     return out
+
+
+def _edge_phasors(u, inv, w):
+    """(k0, k1) -> exp(-j*w*u[inv[k]]) for the symbols k0 <= k < k1, one row each.
+
+    The phasors of the distinct edge times u are computed once when they fit
+    a block; past that, each call exponentiates its own symbols' edge times.
+    """
+    if u.size <= _BLOCK:
+        table = np.exp(-1j * np.multiply.outer(u, w))
+        return lambda k0, k1: table[inv[k0:k1]]
+    return lambda k0, k1: np.exp(-1j * np.multiply.outer(u[inv[k0:k1]], w))
 
 
 def ripple_spectrum(

@@ -12,6 +12,7 @@ the extended topologies.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from fractions import Fraction
 
@@ -172,6 +173,27 @@ def edge_step_sum(p, pat, V1: float, t) -> np.ndarray:
         total += step(t - k * pat.T - pat.t_start[k])
         total -= step(t - k * pat.T - pat.t_end[k])
     return V1 * total
+
+
+def edge_phasor_sum(pat, V1: float, f) -> np.ndarray:
+    """Fourier transform of V1*s1(t) as a literal sum of one phasor per edge.
+
+    Every pulse adds V1/(j*w) * (exp(-j*w*t_on) - exp(-j*w*t_off)) at
+    w = 2*pi*f, with t_on and t_off its absolute edge times k*T + t_start[k]
+    and k*T + t_end[k]: one cmath.exp per edge and frequency.  Any nonzero f,
+    of any sign and shape; O(F*K).
+    """
+    f = np.asarray(f, dtype=float)
+    out = np.empty(f.size, dtype=complex)
+    for i, fi in enumerate(f.ravel()):
+        jw = 2j * math.pi * float(fi)
+        total = 0j
+        for k in range(pat.K):
+            t_on = k * pat.T + float(pat.t_start[k])
+            t_off = k * pat.T + float(pat.t_end[k])
+            total += cmath.exp(-jw * t_on) - cmath.exp(-jw * t_off)
+        out[i] = V1 / jw * total
+    return out.reshape(f.shape)
 
 
 def backward_difference_buck(p, pat, ic, J: int, clip: bool = False):

@@ -222,6 +222,7 @@ REJECTED = [
     (GENERALIZED, {"run.topology": {**LOAD, "R_L": -1.0}}, "run.topology.R_L", 2),
     (GENERALIZED, {"run.topology": {**LOAD, "L_L": -1e-6}}, "run.topology.L_L", 2),
     (GENERALIZED, {"run.topology": {**LOAD, "C_L": 0.0}}, "run.topology.C_L", 2),
+    (GENERALIZED, {"run.ic_values": {"v3_0": 0.0}}, "run.ic_values.v3_0", 2),
     # a negative settle guard
     (SPECTRUM, {"run.settle_symbols": -60}, "run.settle_symbols", 2),
     (ACCURACY, {"run.settle_symbols": -5}, "run.settle_symbols", 2),
