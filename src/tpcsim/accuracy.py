@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Waveform, sample_output
+from .analytic import Waveform, output_voltage
 from .circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from .discrete import ConductionMode, Variant, simulate
 from .errors import ConfigError, GridMismatchError, PatternTooShortError
@@ -35,18 +35,11 @@ def default_settle_symbols(d: Dynamics, T: float) -> int:
     return int(math.ceil(math.log(1e6) / (d.a * T)))
 
 
-def reference_samples(
-    d: Dynamics,
-    ic: InitialConditions,
-    pat: SwitchingPattern,
-    V1: float,
-    J: int,
-    settle_symbols: int | None = None,
-) -> Waveform:
-    """Closed-form output sampled at dt = T/J, restricted to the settled part.
+def _settle_guard(d: Dynamics, pat: SwitchingPattern, settle_symbols: int | None) -> int:
+    """The settling guard in symbols, the default for d when None.
 
-    The returned waveform starts at t0 = settle_symbols*T.  Raises
-    PatternTooShortError when the pattern does not outlast the guard.
+    Raises ConfigError for a negative guard and PatternTooShortError when the
+    pattern does not outlast the guard.
     """
     if settle_symbols is None:
         settle_symbols = default_settle_symbols(d, pat.T)
@@ -57,10 +50,27 @@ def reference_samples(
             f"pattern has {pat.K} symbols but the settling guard needs more "
             f"than {settle_symbols}"
         )
+    return settle_symbols
+
+
+def reference_samples(
+    d: Dynamics,
+    ic: InitialConditions,
+    pat: SwitchingPattern,
+    V1: float,
+    J: int,
+    settle_symbols: int | None = None,
+) -> Waveform:
+    """Closed-form output sampled at dt = T/J, restricted to the settled part.
+
+    The returned waveform starts at sample n0 = settle_symbols*J, t0 = n0*dt,
+    and only its own samples are evaluated.  Raises PatternTooShortError when
+    the pattern does not outlast the guard.
+    """
+    n0 = _settle_guard(d, pat, settle_symbols) * J
     dt = pat.T / J
-    full = sample_output(d, ic, pat, V1, dt, pat.K * J)
-    n0 = settle_symbols * J
-    return Waveform(dt=dt, t0=n0 * dt, samples=full.samples[n0:])
+    t = np.arange(n0, pat.K * J) * dt
+    return Waveform(dt=dt, t0=n0 * dt, samples=output_voltage(d, ic, pat, V1, t))
 
 
 def bias(v2: Waveform, delta: float, V1: float) -> float:
@@ -101,8 +111,7 @@ def sweep(
     """
     d = derive_dynamics(p)
     pat = encode(bits, cfg)
-    if settle_symbols is None:
-        settle_symbols = default_settle_symbols(d, cfg.T)
+    settle_symbols = _settle_guard(d, pat, settle_symbols)
     ic = InitialConditions(v2_0=cfg.delta * p.V1, dv2_0=0.0)
     reports = []
     for J in J_list:

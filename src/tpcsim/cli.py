@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import presets as presets_mod
-from .accuracy import sweep
-from .analytic import Waveform, data_component, pulse_shape_gtx, sample_output, transient_component
+from .accuracy import _settle_guard, reference_samples, sweep
+from .analytic import Waveform, data_component, pulse_shape_gtx, transient_component
 from .circuit import CircuitParams, InitialConditions, derive_dynamics
 from .discrete import ConductionMode, Variant, derive_params, simulate
 from .equalization import (
@@ -34,7 +34,7 @@ from .equalization import (
     observe,
     subtract_transient,
 )
-from .errors import ConfigError, DepthOutOfRangeError, ModelError
+from .errors import ConfigError, DepthOutOfRangeError, ModelError, PatternTooShortError
 from .laplace import (
     GeneralLoad,
     ParasiticParams,
@@ -266,6 +266,11 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         built.mode = _checked("run.mode", ConductionMode, run["mode"])
     elif run["type"] == "accuracy":
         built.variants = [_checked("run.variants", Variant, v) for v in run["variants"]]
+        # the accuracy module owns the settling guard and its default
+        try:
+            _settle_guard(derive_dynamics(p), pat, run["settle_symbols"])
+        except PatternTooShortError as exc:
+            raise ConfigError("run.settle_symbols", str(exc)) from None
     elif run["type"] == "params":
         lc = p.L * p.C
         built.circuits = [
@@ -305,7 +310,7 @@ def validate_config(raw: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # runners (one per run type): each takes the resolved run dict and the built
-# objects and returns {file name: Waveform, (header, rows) table or JSON object}
+# objects and returns {file name: Waveform, (header, columns) table or JSON object}
 
 
 def _run_analytic(run, b) -> dict:
@@ -324,7 +329,7 @@ def _run_gtx(run, b) -> dict:
     d = derive_dynamics(b.p)
     T = b.mcfg.T
     t = np.linspace(run["t_min_periods"] * T, run["t_max_periods"] * T, run["points"])
-    return {"gtx.csv": (["t_s", "value"], zip(t, pulse_shape_gtx(d, b.mcfg.delta * T, t)))}
+    return {"gtx.csv": (["t_s", "value"], [t, pulse_shape_gtx(d, b.mcfg.delta * T, t)])}
 
 
 def _run_discrete(run, b) -> dict:
@@ -344,15 +349,14 @@ def _run_spectrum(run, b) -> dict:
     reps = -(-(settle + pat.K) // max(pat.K, 1))
     pat_ext = encode(np.tile(b.bits, reps)[-(settle + pat.K) :], mcfg)
     ic = InitialConditions(v2_0=mcfg.delta * p.V1, dv2_0=0.0)
-    w_full = sample_output(d, ic, pat_ext, p.V1, mcfg.T / J, pat_ext.K * J)
-    w_win = Waveform(dt=w_full.dt, t0=settle * mcfg.T, samples=w_full.samples[settle * J :])
+    w_win = reference_samples(d, ic, pat_ext, p.V1, J, settle)
     sg_fft = spectrum_via_fft(w_win, dc_remove=pat.mean_duty() * p.V1)
 
     scale = p.V1 * mcfg.T
     return {
         name: (
             ["frequency_hz", "re", "im", "mag_db"],
-            zip(s.frequencies, s.values.real, s.values.imag, s.magnitude_db(scale)),
+            [s.frequencies, s.values.real, s.values.imag, s.magnitude_db(scale)],
         )
         for name, s in (("spectrum.csv", sg), ("spectrum_fft.csv", sg_fft))
     }
@@ -369,8 +373,13 @@ def _run_accuracy(run, b) -> dict:
         align_predictive=run["align_predictive"],
     )
     V1 = b.p.V1
-    rows = ((r.J, r.variant.value, r.bias / V1, r.mse / V1**2) for r in reports)
-    return {"accuracy.csv": (["J", "variant", "bias_over_v1", "mse_over_v1sq"], rows)}
+    columns = [
+        [r.J for r in reports],
+        [r.variant.value for r in reports],
+        [r.bias / V1 for r in reports],
+        [r.mse / V1**2 for r in reports],
+    ]
+    return {"accuracy.csv": (["J", "variant", "bias_over_v1", "mse_over_v1sq"], columns)}
 
 
 _COEFFICIENTS = ("alpha", "beta", "gamma", "kappa", "mu")
@@ -383,7 +392,7 @@ def _run_params(run, b) -> dict:
     for q in b.circuits:
         coeffs = [derive_params(q, run["J"], b.mcfg.T, variant) for _, variant in sets]
         rows.append((q.C, q.L, *(getattr(dp, c) for dp in coeffs for c in _COEFFICIENTS)))
-    return {"coefficients.csv": (header, rows)}
+    return {"coefficients.csv": (header, list(zip(*rows)))}
 
 
 def _run_equalize(run, b) -> dict:
@@ -438,16 +447,20 @@ _RUNNERS = {
 
 
 def _render(content) -> str:
-    """CSV text of a Waveform or (header, rows) table; JSON text of anything else."""
+    """CSV text of a Waveform or (header, columns) table; JSON text of anything else.
+
+    Each column is converted to Python values once and every row goes through
+    one %-format: text columns as they are, numbers with 17 significant digits.
+    """
     if isinstance(content, Waveform):
-        content = (["t_s", "value"], zip(content.times(), content.samples))
+        content = (["t_s", "value"], [content.times(), content.samples])
     if not isinstance(content, tuple):
         return json.dumps(content, indent=2, sort_keys=True) + "\n"
-    header, rows = content
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else f"{float(x):.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    header, columns = content
+    arrays = [np.asarray(c) for c in columns]
+    fmt = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays)
+    rows = map(fmt.__mod__, zip(*(a.tolist() for a in arrays)))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:

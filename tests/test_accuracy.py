@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcsim.accuracy import (
     bias,
@@ -10,11 +12,17 @@ from tpcsim.accuracy import (
     reference_samples,
     sweep,
 )
-from tpcsim.analytic import Waveform
+from tpcsim.analytic import Waveform, sample_output
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics
 from tpcsim.discrete import Variant
 from tpcsim.errors import ConfigError, GridMismatchError, PatternTooShortError
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vpwm
+from tpcsim.modulation import (
+    ModulationConfig,
+    Scheme,
+    alternating_bits,
+    encode_vppm,
+    encode_vpwm,
+)
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
@@ -54,6 +62,46 @@ def test_reference_decimation_consistency():
     hi = reference_samples(d, ic, pat, 1.0, 16, settle_symbols=4)
     lo = reference_samples(d, ic, pat, 1.0, 8, settle_symbols=4)
     assert np.array_equal(hi.samples[::2], lo.samples)
+
+
+@settings(max_examples=60)
+@given(
+    slow=st.booleans(),
+    scheme=st.sampled_from(["vpwm", "vppm_abutting"]),
+    steady=st.booleans(),
+    K=st.integers(1, 40),
+    J=st.integers(1, 300),
+    settle_share=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_reference_is_the_settled_tail_of_the_full_grid(
+    slow, scheme, steady, K, J, settle_share, seed
+):
+    """Evaluating only the settled window gives, bit for bit, the samples a
+    full-grid evaluation keeps after the guard, on the same dt and t0."""
+    p = SLOW if slow else FAST
+    d = derive_dynamics(p)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, K)
+    if scheme == "vpwm":
+        cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.05)
+        pat = encode_vpwm(bits, cfg)
+    else:
+        # the largest shift puts a 1-pulse's end on the next symbol's 0-pulse start
+        cfg = ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T)
+        pat = encode_vppm(bits, cfg)
+    if steady:
+        ic = InitialConditions(cfg.delta * p.V1, 0.0)
+    else:
+        ic = InitialConditions(rng.uniform(-1.0, 1.0), rng.uniform(-1e6, 1e6))
+    settle = int(settle_share * K)  # 0 .. K-1
+    n0 = settle * J
+
+    ref = reference_samples(d, ic, pat, p.V1, J, settle_symbols=settle)
+    full = sample_output(d, ic, pat, p.V1, T / J, K * J)
+    assert ref.dt == full.dt
+    assert ref.t0 == full.times()[n0]
+    assert np.array_equal(ref.samples, full.samples[n0:])
 
 
 def test_bias_of_flat_trajectory_is_zero():

@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpcsim.cli import main, run_scenario, validate_config
+from tpcsim.analytic import Waveform
+from tpcsim.cli import _render, main, run_scenario, validate_config
 from tpcsim.errors import ConfigError
 from tpcsim.presets import get_preset, list_presets
 
@@ -190,6 +194,7 @@ def _mutated(preset, changes):
 NAN, INF = float("nan"), float("inf")
 FIG4, SPECTRUM, ACCURACY, PARAMS = "fig4_ltspice_check", "fig5_spectrum", "fig7_mse", "fig8_params"
 GTX, EQUALIZE, GENERALIZED = "fig2_gtx", "equalize_k8", "generalized_parasitic"
+FIG6 = "fig6_bias"
 DISCRETE = {"type": "discrete", "J": 10}
 LOAD = {"kind": "general_load"}
 
@@ -226,6 +231,9 @@ REJECTED = [
     # a negative settle guard
     (SPECTRUM, {"run.settle_symbols": -60}, "run.settle_symbols", 2),
     (ACCURACY, {"run.settle_symbols": -5}, "run.settle_symbols", 2),
+    # a settle guard the pattern does not outlast: given, and the circuit's default
+    (FIG6, {"run.settle_symbols": 341}, "run.settle_symbols", 2),
+    (FIG4, {"bits": "1", "run": {"type": "accuracy", "J_list": [4]}}, "run.settle_symbols", 2),
     # booleans that are not JSON booleans, and JSON booleans as numbers
     (FIG4, {"ic": {"steady": "false"}}, "ic.steady", 2),
     (ACCURACY, {"run.align_predictive": "no"}, "run.align_predictive", 2),
@@ -257,3 +265,53 @@ def test_rejected_config_names_its_field(tmp_path, capsys, preset, changes, fiel
     path.write_text(json.dumps(_mutated(preset, changes)))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def _render_by_cell(header, rows) -> str:
+    """The CSV writer's earlier form, one Python format per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(x if isinstance(x, str) else f"{float(x):.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+INTS = st.integers(-(2**62), 2**62) | st.sampled_from([2**53 + 1, -(2**53) - 1, 0])
+COLUMNS = {
+    "float list": (FLOATS, list),
+    "float64 array": (FLOATS, lambda v: np.array(v, dtype=np.float64)),
+    "int list": (INTS, list),
+    "int64 array": (INTS, lambda v: np.array(v, dtype=np.int64)),
+    "text": (st.text("abcdefghijklmnopqrstuvwxyz_-", min_size=1, max_size=12), list),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for kind in kinds:
+        values, build = COLUMNS[kind]
+        columns.append(build(draw(st.lists(values, min_size=n_rows, max_size=n_rows))))
+    return [f"c{i}" for i in range(len(kinds))], columns
+
+
+@settings(max_examples=200)
+@given(table=tables())
+def test_render_matches_per_cell_formatting(table):
+    header, columns = table
+    assert _render((header, columns)) == _render_by_cell(header, zip(*columns))
+
+
+@settings(max_examples=50)
+@given(
+    dt=st.floats(1e-12, 1.0),
+    t0=st.floats(-1e3, 1e3),
+    samples=st.lists(FLOATS, max_size=20),
+)
+def test_render_waveform_matches_per_cell_formatting(dt, t0, samples):
+    w = Waveform(dt=dt, t0=t0, samples=np.array(samples))
+    expected = _render_by_cell(["t_s", "value"], zip(w.times(), w.samples))
+    assert _render(w) == expected
