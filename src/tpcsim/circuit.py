@@ -2,17 +2,30 @@
 
 The buck converter's LC lowpass with Ohmic load is a second-order system.  With
 a = 1/(2*C*R_L) and b = sqrt(1/(L*C) - a^2) its poles are the conjugate pair
--a +/- jb, valid whenever R_L > 0.5*sqrt(L/C) (underdamped operation).
+-a +/- jb, valid whenever R_L > 0.5*sqrt(L/C) (underdamped operation).  Its
+transfer function is written once, in _lc_model, as a degree-2 rational model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, OverdampedError
+from .modal import RationalLaplace, _ic_numerators, _modal_sum, expand_strictly_proper, transfer_at
+
+
+def _lc_model(c0: float, c1: float, c2: float) -> RationalLaplace:
+    """H(s) = c0 / (c0 + c1*s + c2*s^2), the LC lowpass with Ohmic load.
+
+    The circuit values give (1, L/R_L, L*C), so H(0) is exactly 1, and the
+    poles -a +/- jb give (a^2 + b^2, 2a, 1), whose den' = 2a + 2s has no real
+    part at the poles, so the impulse response starts at exactly 0."""
+    den = np.array([c0, c1, c2])
+    return RationalLaplace(num=den[:1], den=den, ic_numerators=_ic_numerators(den, den[:1]))
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,15 @@ class Dynamics:
     def s02(self) -> complex:
         return complex(-self.a, -self.b)
 
+    @property
+    def poles(self) -> np.ndarray:
+        return np.array([self.s01, self.s02])
+
+    @cached_property
+    def model(self) -> RationalLaplace:
+        """The filter's transfer model, its coefficients taken from a and b."""
+        return _lc_model(self.a * self.a + self.b * self.b, 2.0 * self.a, 1.0)
+
 
 @dataclass(frozen=True)
 class InitialConditions:
@@ -89,26 +111,19 @@ def derive_dynamics(p: CircuitParams) -> Dynamics:
 
 
 def frequency_response(p: CircuitParams, f):
-    """Complex gain 1 / (1 + j*2*pi*f*L/R_L - (2*pi*f)^2*L*C).
+    """Complex gain H(j*2*pi*f) of the filter, from the circuit values, so it
+    also covers overdamped circuits.
 
     Accepts a scalar or an array of frequencies in Hz.
     """
-    w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    h = 1.0 / (1.0 + 1j * w * p.L / p.R_L - w * w * p.L * p.C)
-    if np.isscalar(f):
-        return complex(h)
-    return h
+    model = _lc_model(1.0, p.L / p.R_L, p.L * p.C)
+    h = transfer_at(model, 2j * np.pi * np.asarray(f, dtype=float))
+    return complex(h) if np.isscalar(f) else h
 
 
 def impulse_response(d: Dynamics, p: CircuitParams, t):
-    """h_i(t) = exp(-a*t) * sin(b*t) / (L*C*b) for t >= 0, zero before."""
-    t_arr = np.asarray(t, dtype=float)
-    tp = np.maximum(t_arr, 0.0)
-    h = np.exp(-d.a * tp) * np.sin(d.b * tp) / (p.L * p.C * d.b)
-    out = np.where(t_arr >= 0.0, h, 0.0)
-    if np.isscalar(t):
-        return float(out)
-    return out
+    """h_i(t) = exp(-a*t) * sin(b*t) / (L*C*b) for t >= 0, zero before; d fixes it alone."""
+    return _modal_sum(expand_strictly_proper(d.model.num, d.model.den, d.poles), [0.0], [1.0], t)
 
 
 def cutoff_frequency(p: CircuitParams) -> float:

@@ -38,11 +38,10 @@ from .errors import ConfigError, DepthOutOfRangeError, ModelError, PatternTooSho
 from .laplace import (
     GeneralLoad,
     ParasiticParams,
-    build_general_load_model,
-    build_parasitic_model,
+    _build_model,
+    _simulate_model,
     find_poles,
-    partial_fractions,
-    simulate_generalized,
+    ic_numerator,
     transfer_at,
 )
 from .modulation import ModulationConfig, Scheme, alternating_bits, encode
@@ -264,6 +263,12 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     if run["type"] == "discrete":
         built.variant = _checked("run.variant", Variant, run["variant"])
         built.mode = _checked("run.mode", ConductionMode, run["mode"])
+    elif run["type"] == "spectrum":
+        # the FFT cross-check transforms the last pat.K symbols at J_fft samples each
+        if not pat.K:
+            raise ConfigError("bits", "a spectrum run needs at least one symbol")
+        if pat.K * run["J_fft"] < 2:
+            raise ConfigError("run.J_fft", "K*J_fft < 2 leaves the FFT fewer than two samples")
     elif run["type"] == "accuracy":
         built.variants = [_checked("run.variants", Variant, v) for v in run["variants"]]
         # the accuracy module owns the settling guard and its default
@@ -287,16 +292,11 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         topo = run["topology"] = _tagged("run.topology", run["topology"], "kind", _TOPOLOGY)
         if topo["kind"] == "general_load" and topo["R_L"] is None:
             topo["R_L"] = p.R_L
-        load_type, build_model = (
-            (ParasiticParams, build_parasitic_model)
-            if topo["kind"] == "parasitic"
-            else (GeneralLoad, build_general_load_model)
-        )
+        load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
         params = {k: v for k, v in topo.items() if k != "kind"}
-        built.load = _checked("run.topology", load_type, **params)
-        built.model = build_model(p, built.load)
+        built.model = _build_model(p, _checked("run.topology", load_type, **params))
         # the model owns its initial-condition symbols
-        _checked("run.ic_values", partial_fractions, built.model, run["ic_values"])
+        _checked("run.ic_values", ic_numerator, built.model, run["ic_values"])
     return cfg, built
 
 
@@ -418,7 +418,7 @@ def _run_equalize(run, b) -> dict:
 def _run_generalized(run, b) -> dict:
     model = b.model
     poles = find_poles(model)
-    w = simulate_generalized(b.p, b.load, b.pat, run["ic_values"], run["J"])
+    w = _simulate_model(model, poles, b.p.V1, b.pat, run["ic_values"], run["J"])
     return {
         "v2_generalized.csv": w,
         "model.json": {

@@ -61,7 +61,11 @@ def derive_params(p: CircuitParams, J: int, T: float, variant: Variant) -> Discr
     """Iteration coefficients for interval dt = T/J.
 
     The simplified/predictive coefficient set requires dt < C*R_L, otherwise
-    kappa <= 0 and the voltage update loses its decaying fixed point.
+    kappa <= 0 and the voltage update loses its decaying fixed point.  Every
+    variant's CCM update matrix A must also pass the Jury test, |det A| < 1 and
+    |tr A| < 1 + det A (so PREDICTIVE needs dt < L/R_L), with |det A| clearing 1
+    by more than its rounding: at dt = L/R_L the predictive pole pair sits on
+    the unit circle and its ringing never decays.
     """
     if not (isinstance(J, (int, np.integer)) and J >= 1):
         raise ValueError(f"J must be an integer >= 1, got {J!r}")
@@ -87,6 +91,17 @@ def derive_params(p: CircuitParams, J: int, T: float, variant: Variant) -> Discr
         gamma = -beta
         kappa = (crl - dt) / crl
         mu = dt / p.C
+    # A = [[alpha, gamma], [a21, a22]]; |tr A| < 1 + det A as P(1) > 0 and P(-1) > 0
+    # with P(z) = det(zI - A), a form without cancellation as dt -> 0
+    a21, a22 = (mu, kappa) if variant is Variant.PREDICTIVE else (mu * alpha, kappa + mu * gamma)
+    cross = gamma * a21
+    det = alpha * a22 - cross
+    stable = (1.0 - alpha) * (1.0 - a22) > cross and (1.0 + alpha) * (1.0 + a22) > cross
+    if not (stable and abs(det) < 1.0 - 4e-15):  # 16 ulp of 1: more than det's rounding
+        raise UnstableStepError(
+            f"dt = {dt:.6g} s: the {variant.value} update has an eigenvalue on or outside "
+            f"the unit circle (det A = {det:.17g}); raise J"
+        )
     return DiscreteParams(
         alpha=alpha, beta=beta, gamma=gamma, kappa=kappa, mu=mu, dt=dt, variant=variant
     )

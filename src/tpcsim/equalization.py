@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Waveform
+from .analytic import Waveform, transient_component
 from .circuit import (
     CircuitParams,
     Dynamics,
@@ -75,8 +75,6 @@ def observe(w: Waveform, om: ObservationModel) -> Waveform:
 
 def reconstruct_transient(d: Dynamics, e: EstimatedIC, t):
     """Transient rebuilt from estimated initial values (same closed form)."""
-    from .analytic import transient_component
-
     return transient_component(d, InitialConditions(e.v2_0_hat, e.dv2_0_hat), t)
 
 

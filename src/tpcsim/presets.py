@@ -9,6 +9,8 @@ of the exact and approximated iteration parameters.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 _FAST_CIRCUIT = {"L": 10e-6, "C": 1e-6, "R_L": 10.0, "V1": 1.0}
@@ -141,8 +143,6 @@ def list_presets() -> list[str]:
 
 def get_preset(name: str) -> dict:
     """Deep copy of a named preset configuration."""
-    import copy
-
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
     return copy.deepcopy(_PRESETS[name])

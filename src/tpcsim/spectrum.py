@@ -17,6 +17,7 @@ import numpy as np
 from .analytic import Waveform
 from .circuit import CircuitParams, Dynamics
 from .errors import ZeroFrequencyError
+from .modal import transfer_at
 from .modulation import SwitchingPattern
 
 _BLOCK = 128  # frequencies and symbols per block: each complex temporary <= 256 KB
@@ -108,13 +109,11 @@ def ripple_spectrum(
 ) -> SpectrumGrid:
     """Analytic spectrum of the output ripple on the given frequency grid.
 
-    value(f) = V1(f) / (L*C*(j2pi f - s01)*(j2pi f - s02)), which equals
-    V1(f)*H(f).  The subtracted DC level is reported as dc_mass = mean duty * V1.
+    value(f) = V1(f)*H(j2pi f), with H the filter's model.  The subtracted DC
+    level is reported as dc_mass = mean duty * V1.
     """
     f = np.asarray(grid, dtype=float)
-    jw = 2j * np.pi * f
-    den = p.L * p.C * (jw - d.s01) * (jw - d.s02)
-    values = v1_spectrum(pat, p.V1, f) / den
+    values = v1_spectrum(pat, p.V1, f) * transfer_at(d.model, 2j * np.pi * f)
     return SpectrumGrid(frequencies=f, values=values, dc_mass=pat.mean_duty() * p.V1)
 
 

@@ -194,6 +194,45 @@ def test_data_component_property_against_edge_step_sum(slow, long, K, scheme, de
     assert np.all(got[t < 0.0] == 0.0)
 
 
+@settings(max_examples=30)
+@given(
+    slow=st.booleans(),
+    log_excess=st.floats(-5.0, -2.0),
+    K=st.integers(1, 20),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_near_repeated_poles_property_against_oracles(slow, log_excess, K, seed):
+    """R_L just above the damping boundary, by a factor 1 + 1e-5 .. 1 + 1e-2:
+    b -> 0 and the residues grow like a/b.  Tolerances, fixed in advance:
+    data component vs the per-edge step sum, rounding grown by the residues,
+    V1*(1e-12 + 1e-15*K)*(1 + a/b); transient vs RK4 at 200 steps per symbol,
+    1e-9 of the initial-state scale; sampled-input convolution vs the step sum,
+    its rectangle rule's half-sample lag, at most V1*w0*dt."""
+    base = SLOW if slow else FAST
+    p = CircuitParams(L=base.L, C=base.C, R_L=base.damping_boundary() * (1.0 + 10.0**log_excess))
+    d = derive_dynamics(p)
+    w0 = 1.0 / np.sqrt(p.L * p.C)
+    rng = np.random.default_rng(seed)
+    # duty 0.4 / 0.6 around T/2 puts every edge on the J = 200 grid
+    pat = encode_vpwm(rng.integers(0, 2, K), ModulationConfig(Scheme.VPWM, T, 0.5, 0.1))
+    J = 200
+    dt = T / J
+    t = np.arange(K * J) * dt
+
+    want = edge_step_sum(p, pat, p.V1, t)
+    got = data_component(d, pat, p.V1, t)
+    assert np.abs(got - want).max() <= p.V1 * (1e-12 + 1e-15 * K) * (1.0 + d.a / d.b)
+
+    ic = InitialConditions(rng.uniform(-1.0, 1.0), w0 * rng.uniform(-1.0, 1.0))
+    with_ic, _ = rk4_buck(p, pat, ic, J)
+    zero_ic, _ = rk4_buck(p, pat, InitialConditions(0.0, 0.0), J)
+    err = np.abs(transient_component(d, ic, t) - (with_ic - zero_ic)).max()
+    assert err <= 1e-9 * (abs(ic.v2_0) + abs(ic.dv2_0) / w0)
+
+    v1 = Waveform(dt=dt, t0=0.0, samples=p.V1 * sample_switching(pat, dt, K * J))
+    assert np.abs(convolve_end_to_end(v1, d, p).samples - want).max() <= p.V1 * w0 * dt
+
+
 def test_output_voltage_initial_value_exact():
     d = derive_dynamics(SLOW)
     pat = fig_pattern(0.025, 8)

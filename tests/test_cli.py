@@ -228,6 +228,9 @@ REJECTED = [
     (GENERALIZED, {"run.topology": {**LOAD, "L_L": -1e-6}}, "run.topology.L_L", 2),
     (GENERALIZED, {"run.topology": {**LOAD, "C_L": 0.0}}, "run.topology.C_L", 2),
     (GENERALIZED, {"run.ic_values": {"v3_0": 0.0}}, "run.ic_values.v3_0", 2),
+    # a spectrum pattern too short for its FFT cross-check
+    (SPECTRUM, {"bits": ""}, "bits", 2),
+    (SPECTRUM, {"bits": "1", "run.J_fft": 1, "run.settle_symbols": 0}, "run.J_fft", 2),
     # a negative settle guard
     (SPECTRUM, {"run.settle_symbols": -60}, "run.settle_symbols", 2),
     (ACCURACY, {"run.settle_symbols": -5}, "run.settle_symbols", 2),
@@ -265,6 +268,20 @@ def test_rejected_config_names_its_field(tmp_path, capsys, preset, changes, fiel
     path.write_text(json.dumps(_mutated(preset, changes)))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_unstable_predictive_run_is_a_model_error(tmp_path, capsys):
+    """dt = T > L/R_L: the predictive update diverged, and the run used to exit
+    0 with v2 = 3.9 V from a 1 V supply after 200 symbols."""
+    changes = {
+        "circuit.R_L": 12.0,
+        "bits": {"pattern": "alternating", "K": 200},
+        "run": {"type": "discrete", "J": 1, "variant": "predictive"},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_mutated("fig3_components", changes)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "model error: dt = 1e-06 s: the predictive update" in capsys.readouterr().err
 
 
 def _render_by_cell(header, rows) -> str:

@@ -54,6 +54,24 @@ def test_unstable_step_guard():
     derive_params(p, 4, T, Variant.EXACT)  # exact set has no such restriction
 
 
+def test_jury_rule_rejects_updates_that_do_not_decay():
+    # PREDICTIVE also needs dt < L/R_L: at R_L = 12 and J = 1, det A = 1.017
+    p = CircuitParams(L=10e-6, C=1e-6, R_L=12.0)
+    with pytest.raises(UnstableStepError, match="predictive"):
+        derive_params(p, 1, T, Variant.PREDICTIVE)
+    derive_params(p, 2, T, Variant.PREDICTIVE)
+    derive_params(p, 1, T, Variant.EXACT)
+    derive_params(p, 1, T, Variant.SIMPLIFIED)
+    # dt = L/R_L exactly puts the pole pair on the unit circle, where the
+    # ringing never decays; det A reads 1 - 1.1e-16 only by rounding, so the
+    # rule must reject it too
+    with pytest.raises(UnstableStepError):
+        derive_params(FAST, 1, T, Variant.PREDICTIVE)
+    # both eigenvalues approach 1 as dt -> 0: no cancellation rejects fine grids
+    for variant in Variant:
+        derive_params(FAST, 10**10, T, variant)
+
+
 def test_exact_converges_to_simplified_for_small_dt():
     J = 1_000_000
     exact = derive_params(FAST, J, T, Variant.EXACT)
