@@ -9,15 +9,16 @@ where g_tx is the difference of two shifted unit-step responses of the filter.
 A generic convolution path handles arbitrary (e.g. finite-slope) input
 waveforms through the impulse response.
 
-Each component puts the filter's degree-2 model (circuit.Dynamics.model) at
-its poles -a +/- jb through the engine in the modal module, the same one that
-evaluates the laplace module's higher-order models.
+Each component puts a circuit.Dynamics (a transfer model at its poles: the
+base filter's at -a +/- jb, or a laplace-module circuit extension's) through
+the engine in the modal module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -53,12 +54,15 @@ class Waveform:
         return self.t0 + np.arange(len(self.samples)) * self.dt
 
 
-def transient_component(d: Dynamics, ic: InitialConditions, t):
-    """Initial-condition response; identically zero when both conditions are zero.
+def transient_component(d: Dynamics, ic: InitialConditions | Mapping[str, float], t):
+    """Initial-condition response; identically zero when every initial value is zero.
 
+    ic is InitialConditions or a mapping of the model's initial-condition
+    symbols.  On the base filter it is
     exp(-a*t) * (v2_0*cos(b*t) + (a*v2_0 + dv2_0)/b * sin(b*t)) for t >= 0.
     """
-    num = ic_numerator(d.model, {"v2_0": ic.v2_0, "dv2_0": ic.dv2_0})
+    values = {"v2_0": ic.v2_0, "dv2_0": ic.dv2_0} if isinstance(ic, InitialConditions) else ic
+    num = ic_numerator(d.model, values)
     return _modal_sum(expand_strictly_proper(num, d.model.den, d.poles), [0.0], [1.0], t)
 
 
@@ -83,14 +87,16 @@ def data_component(d: Dynamics, pat: SwitchingPattern, V1: float, t):
     return _modal_sum(step_expansion(d.model, d.poles, V1), *pat.edges(), t)
 
 
-def output_voltage(d: Dynamics, ic: InitialConditions, pat: SwitchingPattern, V1: float, t):
+def output_voltage(
+    d: Dynamics, ic: InitialConditions | Mapping[str, float], pat: SwitchingPattern, V1: float, t
+):
     """Total output voltage: transient plus data component."""
     return transient_component(d, ic, t) + data_component(d, pat, V1, t)
 
 
 def sample_output(
     d: Dynamics,
-    ic: InitialConditions,
+    ic: InitialConditions | Mapping[str, float],
     pat: SwitchingPattern,
     V1: float,
     dt: float,

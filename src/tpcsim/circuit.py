@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, OverdampedError
-from .modal import RationalLaplace, _ic_numerators, _modal_sum, expand_strictly_proper, transfer_at
+from .modal import RationalLaplace, _ic_numerators, _modal_sum, _readonly, expand_strictly_proper
+from .modal import find_poles, transfer_at
 
 
 def _lc_model(c0: float, c1: float, c2: float) -> RationalLaplace:
@@ -57,10 +57,27 @@ class CircuitParams:
 
 @dataclass(frozen=True)
 class Dynamics:
-    """Damping rate a, ringing frequency b and the pole pair -a +/- jb."""
+    """A filter's transfer model at its poles: a is the slowest decay -max Re p
+    and b the fastest ringing max |Im p|, so the base filter's poles are -a +/- jb."""
 
-    a: float
-    b: float
+    model: RationalLaplace
+    poles: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "poles", _readonly(self.poles, dtype=complex))
+
+    @classmethod
+    def of(cls, model: RationalLaplace) -> Dynamics:
+        """The model at the roots of its denominator."""
+        return cls(model, find_poles(model))
+
+    @property
+    def a(self) -> float:
+        return -float(np.max(self.poles.real))
+
+    @property
+    def b(self) -> float:
+        return float(np.max(np.abs(self.poles.imag)))
 
     @property
     def s01(self) -> complex:
@@ -69,15 +86,6 @@ class Dynamics:
     @property
     def s02(self) -> complex:
         return complex(-self.a, -self.b)
-
-    @property
-    def poles(self) -> np.ndarray:
-        return np.array([self.s01, self.s02])
-
-    @cached_property
-    def model(self) -> RationalLaplace:
-        """The filter's transfer model, its coefficients taken from a and b."""
-        return _lc_model(self.a * self.a + self.b * self.b, 2.0 * self.a, 1.0)
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,7 @@ def derive_dynamics(p: CircuitParams) -> Dynamics:
         )
     a = 1.0 / (2.0 * p.C * p.R_L)
     b = math.sqrt(1.0 / (p.L * p.C) - a * a)
-    return Dynamics(a=a, b=b)
+    return Dynamics(_lc_model(a * a + b * b, 2.0 * a, 1.0), [complex(-a, b), complex(-a, -b)])
 
 
 def frequency_response(p: CircuitParams, f):

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import presets as presets_mod
 from .accuracy import _settle_guard, reference_samples, sweep
-from .analytic import Waveform, data_component, pulse_shape_gtx, transient_component
-from .circuit import CircuitParams, InitialConditions, derive_dynamics
+from .analytic import Waveform, data_component, pulse_shape_gtx, sample_output, transient_component
+from .circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from .discrete import ConductionMode, Variant, derive_params, simulate
 from .equalization import (
     EstimatedIC,
@@ -35,15 +35,7 @@ from .equalization import (
     subtract_transient,
 )
 from .errors import ConfigError, DepthOutOfRangeError, ModelError, PatternTooShortError
-from .laplace import (
-    GeneralLoad,
-    ParasiticParams,
-    _build_model,
-    _simulate_model,
-    find_poles,
-    ic_numerator,
-    transfer_at,
-)
+from .laplace import GeneralLoad, ParasiticParams, _build_model, ic_numerator, transfer_at
 from .modulation import ModulationConfig, Scheme, alternating_bits, encode
 from .spectrum import ripple_spectrum, spectrum_via_fft
 
@@ -81,7 +73,7 @@ _ROOT = {
     "seed": ("integer", 0),
     "circuit": (_CIRCUIT, _REQUIRED),
     "modulation": (_MODULATION, _REQUIRED),
-    "bits": ("string or object", ""),
+    "bits": ("string, array or object", ""),
     "ic": (_IC, {}),
     "run": ("object", _REQUIRED),
 }
@@ -145,7 +137,7 @@ _JSON_TYPES = {
     "boolean": bool,
     "object": dict,
     "array": list,
-    "string or object": (str, dict),
+    "string, array or object": (str, list, dict),
 }
 
 
@@ -163,8 +155,8 @@ def _typed(path: str, kind, value):
         items = _typed(path, "object", value).items()
         return {k: _typed(f"{path}.{k}", "number", v) for k, v in items}
     if kind == 'number or "inf"':
-        if value == "inf":
-            return math.inf
+        if value == "inf":  # kept as the string, which JSON can hold
+            return value
         kind = "number"
     # bool is an int subclass in Python; JSON keeps them apart
     if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
@@ -222,6 +214,14 @@ def _checked(path: str, build, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
+def _two_samples(pat, run: dict, field: str, purpose: str) -> None:
+    """ConfigError unless pat.K symbols at run[field] samples each give purpose two samples."""
+    if not pat.K:
+        raise ConfigError("bits", f"{purpose} needs at least one symbol")
+    if pat.K * run[field] < 2:
+        raise ConfigError(f"run.{field}", f"K*{field} < 2 leaves {purpose} fewer than two samples")
+
+
 def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     """The resolved config and the domain objects built from it."""
     if not isinstance(raw, dict):
@@ -245,6 +245,8 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         if spec["pattern"] != "alternating":
             raise ConfigError("bits.pattern", f"unknown pattern {spec['pattern']!r}")
         bits = _checked("bits", alternating_bits, spec["K"])
+    elif isinstance(bits, list):  # the form the sidecar holds
+        bits = _typed("bits", "[integer]", bits)
     pat = _checked("bits", encode, list(bits), mcfg)
     cfg["bits"] = [int(b) for b in bits]
 
@@ -265,15 +267,12 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         built.mode = _checked("run.mode", ConductionMode, run["mode"])
     elif run["type"] == "spectrum":
         # the FFT cross-check transforms the last pat.K symbols at J_fft samples each
-        if not pat.K:
-            raise ConfigError("bits", "a spectrum run needs at least one symbol")
-        if pat.K * run["J_fft"] < 2:
-            raise ConfigError("run.J_fft", "K*J_fft < 2 leaves the FFT fewer than two samples")
+        _two_samples(pat, run, "J_fft", "the FFT cross-check")
     elif run["type"] == "accuracy":
         built.variants = [_checked("run.variants", Variant, v) for v in run["variants"]]
         # the accuracy module owns the settling guard and its default
         try:
-            _settle_guard(derive_dynamics(p), pat, run["settle_symbols"])
+            run["settle_symbols"] = _settle_guard(derive_dynamics(p), pat, run["settle_symbols"])
         except PatternTooShortError as exc:
             raise ConfigError("run.settle_symbols", str(exc)) from None
     elif run["type"] == "params":
@@ -283,6 +282,7 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
             for i, c in enumerate(run["c_values"])
         ]
     elif run["type"] == "equalize":
+        _two_samples(pat, run, "J", "the equalizer")
         try:
             built.om = ObservationModel(run["c_factor"], run["sigma"], cfg["seed"])
         except ConfigError as exc:
@@ -293,7 +293,7 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         if topo["kind"] == "general_load" and topo["R_L"] is None:
             topo["R_L"] = p.R_L
         load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
-        params = {k: v for k, v in topo.items() if k != "kind"}
+        params = {k: float(v) for k, v in topo.items() if k != "kind"}  # float("inf") for C_L
         built.model = _build_model(p, _checked("run.topology", load_type, **params))
         # the model owns its initial-condition symbols
         _checked("run.ic_values", ic_numerator, built.model, run["ic_values"])
@@ -346,7 +346,7 @@ def _run_spectrum(run, b) -> dict:
     # FFT cross-check: settle on a cyclically extended pattern, transform the
     # final pat.K symbols only.
     settle, J = run["settle_symbols"], run["J_fft"]
-    reps = -(-(settle + pat.K) // max(pat.K, 1))
+    reps = -(-(settle + pat.K) // pat.K)
     pat_ext = encode(np.tile(b.bits, reps)[-(settle + pat.K) :], mcfg)
     ic = InitialConditions(v2_0=mcfg.delta * p.V1, dv2_0=0.0)
     w_win = reference_samples(d, ic, pat_ext, p.V1, J, settle)
@@ -403,7 +403,7 @@ def _run_equalize(run, b) -> dict:
     r_v2_units = Waveform(dt=r.dt, t0=r.t0, samples=r.samples / run["c_factor"])
     cleaned = subtract_transient(r_v2_units, d, EstimatedIC(v2_0_hat=ic.v2_0, dv2_0_hat=ic.dv2_0))
     outputs = {"equalized.csv": equalize_frequency_domain(cleaned, p, eps=run["eps"])}
-    if 1 <= b.pat.K <= 12:
+    if b.pat.K <= 12:
         detected = brute_force_detect(r_v2_units, p, b.mcfg, ic, J, b.pat.K)
         outputs["detection.json"] = {
             "bits_true": [int(x) for x in b.bits],
@@ -416,16 +416,15 @@ def _run_equalize(run, b) -> dict:
 
 
 def _run_generalized(run, b) -> dict:
-    model = b.model
-    poles = find_poles(model)
-    w = _simulate_model(model, poles, b.p.V1, b.pat, run["ic_values"], run["J"])
+    d, J = Dynamics.of(b.model), run["J"]
+    w = sample_output(d, run["ic_values"], b.pat, b.p.V1, b.pat.T / J, b.pat.K * J)
     return {
         "v2_generalized.csv": w,
         "model.json": {
-            "num_ascending": [float(x) for x in model.num],
-            "den_ascending": [float(x) for x in model.den],
-            "poles": [[float(z.real), float(z.imag)] for z in poles],
-            "dc_gain": float(transfer_at(model, 0.0).real),
+            "num_ascending": [float(x) for x in d.model.num],
+            "den_ascending": [float(x) for x in d.model.den],
+            "poles": [[float(z.real), float(z.imag)] for z in d.poles],
+            "dc_gain": float(transfer_at(d.model, 0.0).real),
         },
     }
 
@@ -455,7 +454,7 @@ def _render(content) -> str:
     if isinstance(content, Waveform):
         content = (["t_s", "value"], [content.times(), content.samples])
     if not isinstance(content, tuple):
-        return json.dumps(content, indent=2, sort_keys=True) + "\n"
+        return json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
     header, columns = content
     arrays = [np.asarray(c) for c in columns]
     fmt = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays)

@@ -1,4 +1,4 @@
-"""Higher-order rational transfer models and the time-domain solver built on them.
+"""Higher-order rational transfer models of the circuit extensions.
 
 Two circuit extensions are covered:
 
@@ -13,7 +13,9 @@ Both are represented as a single input/output differential equation
 whose Laplace transform yields V2(s)*P(s) = Q(s)*V1(s) plus polynomial
 initial-condition terms.  The model type, root finding, residues and time
 evaluation live in the modal module, shared with the base filter; this
-module re-exports the public ones.
+module re-exports the public ones.  circuit.Dynamics.of puts a model at its
+poles, and the analytic, spectrum and accuracy functions take the result
+like the base filter's.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .analytic import Waveform
-from .circuit import CircuitParams
+from .analytic import Waveform, sample_output
+from .circuit import CircuitParams, Dynamics
 from .errors import ConfigError, DegenerateTopologyError
 from .modal import PoleResidue, RationalLaplace, expand_strictly_proper, find_poles, transfer_at
-from .modal import _ic_numerators, _modal_sum, ic_numerator, step_expansion
+from .modal import _ic_numerators, _modal_sum, ic_numerator
 from .modulation import SwitchingPattern
 
 
@@ -168,15 +170,10 @@ def simulate_generalized(
     ic_full: Mapping[str, float] | None,
     J: int,
 ) -> Waveform:
-    """Time-domain output of a generalized model on the grid dt = T/J.
-
-    The response is the inverse transform of the initial-condition terms plus
-    one +/-V1-scaled step response per switching edge, each shifted to its
-    edge time; all edges share the step's residues, at the poles of the model
-    and at s = 0 (the DC level).
-    """
-    model = _build_model(p, q_or_gl)
-    return _simulate_model(model, find_poles(model), p.V1, pat, ic_full, J)
+    """Time-domain output of a generalized model on the grid dt = T/J: the
+    sampled output of its Dynamics, with ic_full as the initial values."""
+    d = Dynamics.of(_build_model(p, q_or_gl))
+    return sample_output(d, ic_full or {}, pat, p.V1, pat.T / J, pat.K * J)
 
 
 def _build_model(p: CircuitParams, q_or_gl: ParasiticParams | GeneralLoad) -> RationalLaplace:
@@ -185,14 +182,3 @@ def _build_model(p: CircuitParams, q_or_gl: ParasiticParams | GeneralLoad) -> Ra
     if isinstance(q_or_gl, GeneralLoad):
         return build_general_load_model(p, q_or_gl)
     raise TypeError(f"expected ParasiticParams or GeneralLoad, got {type(q_or_gl)!r}")
-
-
-def _simulate_model(model, poles, V1, pat, ic_values, J) -> Waveform:
-    """simulate_generalized for a model already built, at its poles."""
-    dt = pat.T / J
-    t = np.arange(pat.K * J) * dt
-    out = _modal_sum(step_expansion(model, poles, V1), *pat.edges(), t)
-    if ic_values:
-        ic = expand_strictly_proper(ic_numerator(model, ic_values), model.den, poles)
-        out += _modal_sum(ic, [0.0], [1.0], t)
-    return Waveform(dt=dt, t0=0.0, samples=out)

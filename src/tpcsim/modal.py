@@ -1,8 +1,8 @@
 """Rational transfer models V2(s)*P(s) = Q(s)*V1(s) + initial-condition terms
 (coefficients ascending in s) and the pole/residue engine that evaluates them:
 residues from expand_strictly_proper, frequency values from transfer_at and
-time signals from _modal_sum.  The base LC filter (circuit.Dynamics.model) is
-the degree-2 case; the laplace module builds the higher degrees.
+time signals from _modal_sum.  circuit.Dynamics holds a model at its poles:
+the base LC filter's degree-2 one, or a higher degree the laplace module builds.
 """
 
 from __future__ import annotations

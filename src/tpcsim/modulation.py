@@ -101,7 +101,10 @@ class SwitchingPattern:
 
 
 def _validated_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=int)
+    try:
+        arr = np.asarray(bits, dtype=int)
+    except OverflowError:  # an integer beyond the int64 range
+        raise ValueError("bits must contain only 0 and 1") from None
     if arr.ndim != 1:
         raise ValueError("bits must be a 1-d sequence")
     if arr.size and not np.all((arr == 0) | (arr == 1)):

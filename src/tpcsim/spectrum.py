@@ -1,7 +1,7 @@
 """Closed-form ripple spectrum and its FFT cross-check.
 
 The analytic path evaluates the Fourier transform of the data-dependent output
-component on an arbitrary positive-frequency grid.  The DC content delta*V1 is
+component on an arbitrary positive-frequency grid.  The DC content delta*V1*H(0) is
 a Dirac mass and cannot live on a numeric grid; it is carried alongside the
 grid as the scalar ``dc_mass``.  The FFT path transforms a sampled waveform
 with the continuous-transform convention X(f) = sum x[n] exp(-j2pi f t_n) * dt
@@ -110,11 +110,12 @@ def ripple_spectrum(
     """Analytic spectrum of the output ripple on the given frequency grid.
 
     value(f) = V1(f)*H(j2pi f), with H the filter's model.  The subtracted DC
-    level is reported as dc_mass = mean duty * V1.
+    level is reported as dc_mass = mean duty * V1 * H(0).
     """
     f = np.asarray(grid, dtype=float)
     values = v1_spectrum(pat, p.V1, f) * transfer_at(d.model, 2j * np.pi * f)
-    return SpectrumGrid(frequencies=f, values=values, dc_mass=pat.mean_duty() * p.V1)
+    dc_mass = pat.mean_duty() * p.V1 * float(d.model.num[0] / d.model.den[0])
+    return SpectrumGrid(frequencies=f, values=values, dc_mass=dc_mass)
 
 
 def spectrum_via_fft(w: Waveform, dc_remove: float = 0.0) -> SpectrumGrid:

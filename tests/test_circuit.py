@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from tpcsim.circuit import (
@@ -28,6 +30,23 @@ def test_derive_dynamics_reference_values():
     assert d.b == pytest.approx(312249.8999199199, rel=1e-12)
     assert d.s01 == pytest.approx(complex(-d.a, d.b))
     assert d.s02 == np.conj(d.s01)
+
+
+@settings(max_examples=200)
+@given(
+    L=st.floats(1e-8, 1e-2),
+    C=st.floats(1e-9, 1e-3),
+    over_boundary=st.floats(1.001, 1e3),
+)
+def test_derive_dynamics_is_the_closed_form_bitwise(L, C, over_boundary):
+    """a = 1/(2*C*R_L), b = sqrt(1/(L*C) - a^2) and the poles -a +/- jb, to the bit."""
+    p = CircuitParams(L=L, C=C, R_L=over_boundary * 0.5 * math.sqrt(L / C))
+    d = derive_dynamics(p)
+    a = 1.0 / (2.0 * p.C * p.R_L)
+    b = math.sqrt(1.0 / (p.L * p.C) - a * a)
+    assert (d.a.hex(), d.b.hex()) == (a.hex(), b.hex())
+    bits = [(z.real.hex(), z.imag.hex()) for z in d.poles.tolist()]
+    assert bits == [((-a).hex(), b.hex()), ((-a).hex(), (-b).hex())]
 
 
 def test_derive_dynamics_rejects_boundary_and_below():

@@ -214,6 +214,10 @@ REJECTED = [
     (FIG4, {"bits": "10x"}, "bits", 2),
     (FIG4, {"bits": "102"}, "bits", 2),
     (GTX, {"bits": "12"}, "bits", 2),
+    (FIG4, {"bits": [1, 0, 2]}, "bits", 2),
+    (FIG4, {"bits": [1, 0, 10**30]}, "bits", 2),
+    (FIG4, {"bits": [1, 0, True]}, "bits[2]", 2),
+    (FIG4, {"bits": [1, 0, 1.0]}, "bits[2]", 2),
     (FIG4, {"bits": {"pattern": "alternating", "K": -1}}, "bits.K", 2),
     (FIG4, {"bits": {"pattern": "random", "K": 4}}, "bits.pattern", 2),
     (FIG4, {"run": {**DISCRETE, "variant": "implicit"}}, "run.variant", 2),
@@ -231,6 +235,9 @@ REJECTED = [
     # a spectrum pattern too short for its FFT cross-check
     (SPECTRUM, {"bits": ""}, "bits", 2),
     (SPECTRUM, {"bits": "1", "run.J_fft": 1, "run.settle_symbols": 0}, "run.J_fft", 2),
+    # an equalize pattern too short to equalize
+    (EQUALIZE, {"bits": ""}, "bits", 2),
+    (EQUALIZE, {"bits": "1", "run.J": 1}, "run.J", 2),
     # a negative settle guard
     (SPECTRUM, {"run.settle_symbols": -60}, "run.settle_symbols", 2),
     (ACCURACY, {"run.settle_symbols": -5}, "run.settle_symbols", 2),
@@ -282,6 +289,35 @@ def test_unstable_predictive_run_is_a_model_error(tmp_path, capsys):
     path.write_text(json.dumps(_mutated("fig3_components", changes)))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "model error: dt = 1e-06 s: the predictive update" in capsys.readouterr().err
+
+
+def _defaulted(preset, run_field):
+    cfg = get_preset(preset)
+    del cfg["run"][run_field]
+    return cfg
+
+
+# every preset, and the two defaults a sidecar once could not hold: C_L = inf
+# (written as the non-JSON Infinity) and the circuit's settle guard (null)
+RERUN = {name: {"name": name, **get_preset(name)} for name in list_presets()}
+RERUN["general_load_default_C_L"] = _mutated(GENERALIZED, {"run.topology": LOAD})
+RERUN["accuracy_default_settle_symbols"] = _defaulted(ACCURACY, "settle_symbols")
+
+
+@pytest.mark.parametrize("case", list(RERUN))
+def test_sidecar_regenerates_its_outputs(tmp_path, case):
+    """Running a sidecar reproduces the outputs and sidecars it came with, byte for byte."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(RERUN[case]))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", str(scenario), "--out", str(first)]) == 0
+    sidecar = sorted(first.glob("*.meta.json"))[0]
+    json.loads(sidecar.read_text(), parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert main(["run", str(sidecar), "--out", str(second)]) == 0
+    names = sorted(f.name for f in first.iterdir())
+    assert sorted(f.name for f in second.iterdir()) == names
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def _render_by_cell(header, rows) -> str:

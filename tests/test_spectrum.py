@@ -7,9 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import edge_phasor_sum
+from tpcsim.accuracy import default_settle_symbols
 from tpcsim.analytic import Waveform, data_component
-from tpcsim.circuit import CircuitParams, cutoff_frequency, derive_dynamics, frequency_response
+from tpcsim.circuit import (
+    CircuitParams,
+    Dynamics,
+    cutoff_frequency,
+    derive_dynamics,
+    frequency_response,
+)
 from tpcsim.errors import ZeroFrequencyError
+from tpcsim.laplace import (
+    GeneralLoad,
+    ParasiticParams,
+    build_general_load_model,
+    build_parasitic_model,
+    simulate_generalized,
+)
 from tpcsim.modulation import (
     ModulationConfig,
     Scheme,
@@ -222,6 +236,45 @@ def test_fft_path_agrees_with_closed_form_on_compact_support():
     mask = np.abs(ana) > floor
     ratio_db = 20.0 * np.log10(np.abs(got[mask]) / np.abs(ana[mask]))
     assert np.abs(ratio_db).max() < 0.01
+
+
+EXTENSIONS = {
+    "parasitic": (ParasiticParams(esr_C=0.1, esl_C=10e-9), build_parasitic_model),
+    "series_load": (GeneralLoad(R_L=20.0, L_L=10e-6, C_L=10e-6), build_general_load_model),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_extension_spectrum_agrees_with_fft_of_its_simulation(name):
+    """The closed-form spectrum of a circuit extension's Dynamics at the
+    harmonic bins m/T of an FFT over a settled window, as in criterion 3."""
+    extension, build = EXTENSIONS[name]
+    d = Dynamics.of(build(SLOW, extension))
+    K, J = 64, 64
+    pat = fig5_pattern(K)
+    settle = default_settle_symbols(d, T)
+    bits_ext = np.tile(alternating_bits(K), -(-(settle + K) // K))[-(settle + K) :]
+    pat_ext = encode_vpwm(bits_ext, ModulationConfig(Scheme.VPWM, T, 0.75, 0.025))
+    w_full = simulate_generalized(SLOW, extension, pat_ext, {"v2_0": 0.75}, J)
+    w = Waveform(dt=w_full.dt, t0=settle * T, samples=w_full.samples[settle * J :])
+    sg_fft = spectrum_via_fft(w, dc_remove=0.75 * SLOW.V1)
+    harmonics = np.array([m * K - 1 for m in range(1, 5)])  # bins at m/T
+    ana = ripple_spectrum(SLOW, d, pat, sg_fft.frequencies[harmonics]).values
+    got = sg_fft.values[harmonics]
+    mask = np.abs(ana) > np.abs(ana).max() * 1e-2  # skip exact spectral nulls
+    diffs_db = 20.0 * np.log10(np.abs(got[mask]) / np.abs(ana[mask]))
+    assert mask.sum() >= 2
+    assert np.abs(diffs_db).max() < 1.0
+
+
+def test_dc_mass_carries_the_dc_gain():
+    """Equal switch on-resistances put H(0) = R_L/(R_L + r) below 1."""
+    q = ParasiticParams(r_ds_on_1=0.5, r_ds_on_2=0.5)
+    d = Dynamics.of(build_parasitic_model(SLOW, q))
+    pat = fig5_pattern()
+    assert ripple_spectrum(SLOW, d, pat, [1e5]).dc_mass == pytest.approx(0.75 * 20.0 / 20.5)
+    base = ripple_spectrum(SLOW, derive_dynamics(SLOW), pat, [1e5])
+    assert base.dc_mass == pat.mean_duty() * SLOW.V1  # H(0) is exactly 1
 
 
 def test_spectrum_grid_validation():
