@@ -112,12 +112,14 @@ def convolve_end_to_end(v1: Waveform, d: Dynamics, p: CircuitParams) -> Waveform
 
     Rectangle-rule approximation of (v1 * h_i)(t) on the input grid: every
     input sample is an edge of weight v1[n]*dt on the impulse residues of d's
-    filter.  Requires the grid to resolve the ringing: dt <= 2*pi/(20*b).
+    filter.  Requires the grid to resolve the ringing, dt <= 2*pi/(20*b), or
+    on a filter without ringing (b = 0) its fastest pole, with |p| for b.
     """
-    dt_max = 2.0 * math.pi / (20.0 * d.b)
+    rate, what = (d.b, "ringing") if d.b > 0.0 else (float(np.max(np.abs(d.poles))), "a pole")
+    dt_max = 2.0 * math.pi / (20.0 * rate)
     if v1.dt > dt_max:
         raise ResolutionTooCoarseError(
-            f"dt = {v1.dt:.6g} s is too coarse for ringing at {d.b:.6g} rad/s "
+            f"dt = {v1.dt:.6g} s is too coarse for {what} at {rate:.6g} rad/s "
             f"(need dt <= {dt_max:.6g} s)"
         )
     t = np.arange(len(v1)) * v1.dt

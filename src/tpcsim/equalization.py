@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,6 +154,66 @@ def build_state_sequence(
     return states
 
 
+# frame models kept, one per receiver configuration in use; a detection
+# sweep over K = 8..12 needs five
+_FRAME_MODELS = 16
+
+
+@lru_cache(maxsize=_FRAME_MODELS)
+def _frame_model(
+    p: CircuitParams,
+    cfg: ModulationConfig,
+    ic: InitialConditions,
+    J: int,
+    K: int,
+    variant: Variant,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(z, Y, G, cross2): the frame-independent part of the candidate distances.
+
+    z is the all-zero-bits trajectory from the initial conditions, row k of Y
+    the zero-state response to symbol k's one-minus-zero switching difference,
+    G = Y Y^T, and cross2[k] twice sum_{j<k} b_j G_jk for every k-bit prefix
+    b.  A symbol's response depends only on its J difference samples and on
+    whether it is symbol 0, so the kernel runs once per distinct block and
+    later symbols with that block take the run truncated to their start.
+    Memoized per configuration; every array is read-only.
+    """
+    dp = derive_params(p, J, cfg.T, variant)
+    N = K * J
+    s1_zero = sample_switching(encode(np.zeros(K, dtype=int), cfg), dp.dt, N)
+    s1_one = sample_switching(encode(np.ones(K, dtype=int), cfg), dp.dt, N)
+    _, z = _iterate(dp, p.V1, False, initial_inductor_current(p, ic), ic.v2_0, memoryview(s1_zero))
+    diff = s1_one - s1_zero
+    Y = np.zeros((K, N))
+    runs = {}
+    for k in range(K):
+        # the response starts one sample before the symbol: the first update
+        # inside it already consumes s1[k*J]
+        n0 = max(k * J - 1, 0)
+        block = diff[k * J : (k + 1) * J]
+        # the first symbol with a block starts earliest, so its run is the
+        # longest, and a run's samples do not depend on how long it goes on
+        key = (k == 0, block.tobytes())
+        if key not in runs:
+            s1_k = np.zeros(N - n0)
+            s1_k[k * J - n0 : (k + 1) * J - n0] = block
+            runs[key] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
+        Y[k, n0:] = runs[key][: N - n0]
+    # einsum rather than @ keeps detection off BLAS, whose first call maps
+    # about 0.5 MB of work buffers into the process
+    G = np.einsum("jn,kn->jk", Y, Y)
+    cross = np.zeros((1, K))  # sum_j b_j G_jk over each prefix's bits, for the bits to come
+    cross2 = []
+    for k in range(K):
+        cross2.append(2.0 * cross[:, 0])
+        rest = cross[:, 1:]
+        cross = np.stack([rest, rest + G[k, k + 1 :]], axis=1).reshape(2 * len(rest), K - k - 1)
+    z, cross2 = np.frombuffer(z), tuple(cross2)
+    for a in (z, Y, G, *cross2):
+        a.flags.writeable = False
+    return z, Y, G, cross2
+
+
 def _candidate_distances(
     r: Waveform,
     p: CircuitParams,
@@ -166,39 +227,24 @@ def _candidate_distances(
 
     Entry i belongs to the bit sequence that spells i in binary, first bit
     most significant, so the order is lexicographic.  The CCM iteration is
-    linear, so the trajectory of bits b is z + sum_k b_k y_k: z is the
-    all-zero-bits trajectory from the initial conditions and y_k the
-    zero-state response to symbol k's one-minus-zero switching difference.
-    With e = z - r, h_k = y_k.e and G_jk = y_j.y_k, the distance of b is
+    linear, so the trajectory of bits b is z + sum_k b_k y_k (see
+    _frame_model, which builds z, the y_k and their Gram matrix G once per
+    configuration).  With e = z - r and h_k = y_k.e, the distance of b is
     e.e + sum_k b_k (2 h_k + G_kk + 2 sum_{j<k} b_j G_jk), summed here one
-    bit at a time over all prefixes.
+    bit at a time over all prefixes; only e and h depend on the frame.
     """
-    dp = derive_params(p, J, cfg.T, variant)
-    N = K * J
-    s1_zero = sample_switching(encode(np.zeros(K, dtype=int), cfg), dp.dt, N)
-    s1_one = sample_switching(encode(np.ones(K, dtype=int), cfg), dp.dt, N)
-    _, z = _iterate(dp, p.V1, False, initial_inductor_current(p, ic), ic.v2_0, memoryview(s1_zero))
-    diff = s1_one - s1_zero
-    Y = np.zeros((K, N))
-    for k in range(K):
-        # the response starts one sample before the symbol: the first update
-        # inside it already consumes s1[k*J]
-        n0 = max(k * J - 1, 0)
-        s1_k = np.zeros(N - n0)
-        s1_k[k * J - n0 : (k + 1) * J - n0] = diff[k * J : (k + 1) * J]
-        Y[k, n0:] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
-    e = np.frombuffer(z) - r.samples[:N]
-    # einsum rather than @ keeps detection off BLAS, whose first call maps
-    # about 0.5 MB of work buffers into the process
+    z, Y, G, cross2 = _frame_model(p, cfg, ic, int(J), int(K), variant)
+    e = z - r.samples[: K * J]
     h = np.einsum("kn,n->k", Y, e)
-    G = np.einsum("jn,kn->jk", Y, Y)
-    distances = np.array([np.einsum("n,n->", e, e)])
-    cross = np.zeros((1, K))  # sum_j b_j G_jk over each prefix's bits, for the bits to come
+    distances = np.empty(1 << K)
+    spare = np.empty(1 << K)
+    distances[0] = np.einsum("n,n->", e, e)
     for k in range(K):
-        gain = distances + (2.0 * h[k] + G[k, k] + 2.0 * cross[:, 0])
-        distances = np.stack([distances, gain], axis=1).ravel()
-        rest = cross[:, 1:]
-        cross = np.stack([rest, rest + G[k, k + 1 :]], axis=1).reshape(2 * len(rest), K - k - 1)
+        # prefix i's children are 2i (bit k = 0) and 2i + 1 (bit k = 1)
+        children = spare[: 2 << k].reshape(-1, 2)
+        children[:, 0] = distances[: 1 << k]
+        np.add(distances[: 1 << k], 2.0 * h[k] + G[k, k] + cross2[k], out=children[:, 1])
+        distances, spare = spare, distances
     return distances
 
 
@@ -216,7 +262,10 @@ def brute_force_detect(
     The observation is compared (in v2 units, i.e. assuming unit scale) against
     the discrete-model trajectory of every bit sequence; ties resolve to the
     lexicographically smallest sequence.  The observation must start at t = 0
-    on the model's grid dt = T/J.  Limited to K <= 12.
+    on the model's grid dt = T/J.  Limited to K <= 12.  The frame model (the
+    all-zero trajectory and the symbol responses, one kernel run per distinct
+    symbol block) is built once per (p, cfg, ic, J, K, variant) and memoized
+    read-only, so further frames on one configuration cost only the scoring.
     """
     if K > 12:
         raise TooManyBitsError(f"exhaustive search over 2^{K} sequences refused (K <= 12)")

@@ -22,8 +22,15 @@ from tpcsim.analytic import (
     transient_component,
     unit_step_component,
 )
-from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics, impulse_response
+from tpcsim.circuit import (
+    CircuitParams,
+    Dynamics,
+    InitialConditions,
+    derive_dynamics,
+    impulse_response,
+)
 from tpcsim.errors import ResolutionTooCoarseError
+from tpcsim.laplace import ParasiticParams, build_parasitic_model
 from tpcsim.modulation import (
     ModulationConfig,
     Scheme,
@@ -304,6 +311,22 @@ def test_convolution_resolution_guard():
     v1 = Waveform(dt=2e-6, t0=0.0, samples=np.zeros(16))
     with pytest.raises(ResolutionTooCoarseError):
         convolve_end_to_end(v1, d, p)
+
+
+def test_convolution_resolution_guard_without_ringing():
+    # an overdamped load with a capacitor ESL: three real poles, b = 0, the
+    # fastest at -1.0e8 1/s, so the guard resolves that pole instead
+    p = CircuitParams(100e-6, 0.1e-6, 1.0)
+    d = Dynamics.of(build_parasitic_model(p, ParasiticParams(esr_C=0.1, esl_C=10e-9)))
+    assert d.b == 0.0
+    with pytest.raises(ResolutionTooCoarseError, match="pole"):
+        convolve_end_to_end(Waveform(dt=1e-8, t0=0.0, samples=np.ones(100)), d, p)
+    dt = 1e-9
+    t = np.arange(100) * dt
+    out = convolve_end_to_end(Waveform(dt=dt, t0=0.0, samples=np.ones(100)), d, p).samples
+    # the rectangle rule misses the step response by at most dt*max|h|
+    step = unit_step_component(d, t)
+    assert np.abs(out - step).max() <= dt * np.abs(impulse_response(d, p, t)).max()
 
 
 def test_convolution_trapezoid_converges_to_rectangular():

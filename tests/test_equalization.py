@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpcsim.analytic import Waveform, data_component, sample_output, transient_component
-from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics, frequency_response
-from tpcsim.discrete import Variant, simulate
+from tpcsim import equalization
+from tpcsim.circuit import (
+    CircuitParams,
+    InitialConditions,
+    derive_dynamics,
+    frequency_response,
+    initial_inductor_current,
+)
+from tpcsim.discrete import Variant, _iterate, derive_params, simulate
 from tpcsim.equalization import (
     EstimatedIC,
     _candidate_distances,
+    _frame_model,
     ObservationModel,
     brute_force_detect,
     build_state_sequence,
@@ -20,8 +28,20 @@ from tpcsim.equalization import (
     subtract_transient,
     zf_response,
 )
-from tpcsim.errors import GridMismatchError, IndivisibleDecimationError, TooManyBitsError
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode, encode_vpwm
+from tpcsim.errors import (
+    GridMismatchError,
+    IndivisibleDecimationError,
+    TooManyBitsError,
+    UnstableStepError,
+)
+from tpcsim.modulation import (
+    ModulationConfig,
+    Scheme,
+    alternating_bits,
+    encode,
+    encode_vpwm,
+    sample_switching,
+)
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
 T = 1e-6
@@ -298,6 +318,123 @@ def test_superposition_distances_equal_direct_distances(bits, J, cfg, variant, s
     assert np.abs(distances - direct).max() <= 1e-9 * direct.max()
     detected = brute_force_detect(r, FAST, cfg, IC, J, K, variant)
     assert np.array_equal(detected, bits_matrix[np.argmin(direct)])
+
+
+def per_symbol_distances(r, p, cfg, ic, J, K, variant):
+    """Reference construction: one kernel run per symbol, all on every call."""
+    dp = derive_params(p, J, cfg.T, variant)
+    N = K * J
+    s1_zero = sample_switching(encode(np.zeros(K, dtype=int), cfg), dp.dt, N)
+    s1_one = sample_switching(encode(np.ones(K, dtype=int), cfg), dp.dt, N)
+    _, z = _iterate(dp, p.V1, False, initial_inductor_current(p, ic), ic.v2_0, memoryview(s1_zero))
+    diff = s1_one - s1_zero
+    Y = np.zeros((K, N))
+    for k in range(K):
+        n0 = max(k * J - 1, 0)
+        s1_k = np.zeros(N - n0)
+        s1_k[k * J - n0 : (k + 1) * J - n0] = diff[k * J : (k + 1) * J]
+        Y[k, n0:] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
+    e = np.frombuffer(z) - r.samples[:N]
+    h = np.einsum("kn,n->k", Y, e)
+    G = np.einsum("jn,kn->jk", Y, Y)
+    distances = np.array([np.einsum("n,n->", e, e)])
+    cross = np.zeros((1, K))
+    for k in range(K):
+        gain = distances + (2.0 * h[k] + G[k, k] + 2.0 * cross[:, 0])
+        distances = np.stack([distances, gain], axis=1).ravel()
+        rest = cross[:, 1:]
+        cross = np.stack([rest, rest + G[k, k + 1 :]], axis=1).reshape(2 * len(rest), K - k - 1)
+    return distances
+
+
+@settings(max_examples=200)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+    J=st.sampled_from([1, 2, 5, 8, 16, 40]),
+    cfg=st.sampled_from([CFG, VPPM_CFG, VPPM_EDGE_CFG]),
+    variant=st.sampled_from(list(Variant)),
+    v2_0=st.floats(-2.0, 2.0),
+    dv2_0=st.floats(-1e6, 1e6),
+    sigma=st.sampled_from([0.0, 0.002, 0.02]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_frame_model_distances_equal_per_symbol_construction(
+    bits, J, cfg, variant, v2_0, dv2_0, sigma, seed
+):
+    # shared kernel runs and the memoized model change no bit of any distance
+    try:
+        derive_params(FAST, J, T, variant)
+    except UnstableStepError:
+        assume(False)
+    K = len(bits)
+    ic = InitialConditions(v2_0, dv2_0)
+    v2, _ = simulate(FAST, encode(bits, cfg), ic, J, variant)
+    r = observe(v2, ObservationModel(sigma=sigma, seed=seed))
+    want = per_symbol_distances(r, FAST, cfg, ic, J, K, variant)
+    assert np.array_equal(_candidate_distances(r, FAST, cfg, ic, J, K, variant), want)
+    # a second frame on the same model is scored from the cached one
+    r2 = observe(v2, ObservationModel(sigma=sigma, seed=seed + 1))
+    want2 = per_symbol_distances(r2, FAST, cfg, ic, J, K, variant)
+    assert np.array_equal(_candidate_distances(r2, FAST, cfg, ic, J, K, variant), want2)
+
+
+def test_frame_model_cache_keys_on_every_configuration_field():
+    K = 4
+    configs = [
+        (FAST, CFG, IC, 8, Variant.EXACT),
+        (CircuitParams(L=10e-6, C=1e-6, R_L=12.0), CFG, IC, 8, Variant.EXACT),
+        (FAST, VPPM_CFG, IC, 8, Variant.EXACT),
+        (FAST, CFG, InitialConditions(0.5, 1e4), 8, Variant.EXACT),
+        (FAST, CFG, IC, 8, Variant.SIMPLIFIED),
+        (FAST, CFG, IC, 16, Variant.EXACT),
+    ]
+    frames = {J: make_obs([1, 0, 0, 1], J=J, sigma=0.01, seed=J) for J in (8, 16)}
+    fresh = []
+    for p, cfg, ic, J, variant in configs:
+        _frame_model.cache_clear()
+        fresh.append(_candidate_distances(frames[J], p, cfg, ic, J, K, variant))
+    _frame_model.cache_clear()
+    for _ in range(2):
+        for (p, cfg, ic, J, variant), want in zip(configs, fresh):
+            assert np.array_equal(_candidate_distances(frames[J], p, cfg, ic, J, K, variant), want)
+    info = _frame_model.cache_info()
+    assert (info.misses, info.hits) == (len(configs), len(configs))
+    z, Y, G, cross2 = _frame_model(FAST, CFG, IC, 8, K, Variant.EXACT)
+    for a in (z, Y, G, *cross2):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
+def test_frame_model_runs_the_kernel_once_per_distinct_block(monkeypatch):
+    # the benchmark's frames: VPWM at J = 32, where every symbol after the
+    # first has the same one-minus-zero difference block
+    calls = {"_iterate": 0, "encode": 0, "sample_switching": 0}
+
+    def counted(name):
+        f = getattr(equalization, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(equalization, name, counted(name))
+    _frame_model.cache_clear()
+    for K in (8, 12):
+        bits = np.resize([1, 0, 1], K)
+        r = make_obs(bits, J=32, sigma=0.002, seed=K)
+        before = dict(calls)
+        assert np.array_equal(brute_force_detect(r, FAST, CFG, IC, J=32, K=K), bits)
+        # z, symbol 0 and the block every later symbol shares
+        assert calls["_iterate"] - before["_iterate"] == 3
+        assert calls["encode"] - before["encode"] == 2
+        assert calls["sample_switching"] - before["sample_switching"] == 2
+        before = dict(calls)
+        r2 = make_obs(bits, J=32, sigma=0.002, seed=K + 100)
+        assert np.array_equal(brute_force_detect(r2, FAST, CFG, IC, J=32, K=K), bits)
+        assert calls == before
 
 
 def test_detection_refuses_large_searches():
