@@ -33,10 +33,8 @@ from .circuit import (
 from .discrete import ConductionMode, DiscreteParams, SimState, Variant, derive_params, simulate, step
 from .equalization import (
     EstimatedIC,
-    JointState,
     ObservationModel,
     brute_force_detect,
-    build_state_sequence,
     equalize_frequency_domain,
     observe,
     reconstruct_transient,
@@ -52,8 +50,6 @@ from .laplace import (
     build_parasitic_model,
     expand_strictly_proper,
     find_poles,
-    inverse_laplace_distinct,
-    partial_fractions,
     simulate_generalized,
     transfer_at,
 )

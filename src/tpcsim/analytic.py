@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuit import CircuitParams, Dynamics, InitialConditions
+from .circuit import Dynamics, InitialConditions
 from .errors import ResolutionTooCoarseError
 from .modal import _modal_sum, expand_strictly_proper, ic_numerator, step_expansion
 from .modulation import SwitchingPattern
@@ -107,7 +107,7 @@ def sample_output(
     return Waveform(dt=dt, t0=0.0, samples=output_voltage(d, ic, pat, V1, t))
 
 
-def convolve_end_to_end(v1: Waveform, d: Dynamics, p: CircuitParams) -> Waveform:
+def convolve_end_to_end(v1: Waveform, d: Dynamics) -> Waveform:
     """Filter an arbitrary input waveform through the impulse response.
 
     Rectangle-rule approximation of (v1 * h_i)(t) on the input grid: every

@@ -129,8 +129,8 @@ def frequency_response(p: CircuitParams, f):
     return complex(h) if np.isscalar(f) else h
 
 
-def impulse_response(d: Dynamics, p: CircuitParams, t):
-    """h_i(t) = exp(-a*t) * sin(b*t) / (L*C*b) for t >= 0, zero before; d fixes it alone."""
+def impulse_response(d: Dynamics, t):
+    """h_i(t) = exp(-a*t) * sin(b*t) / (L*C*b) for t >= 0, zero before."""
     return _modal_sum(expand_strictly_proper(d.model.num, d.model.den, d.poles), [0.0], [1.0], t)
 
 

@@ -262,6 +262,9 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     )
 
     run = cfg["run"] = _tagged("run", cfg["run"], "type", _RUN)
+    if run["type"] not in ("discrete", "params", "generalized"):
+        # one base filter per run; discrete and params runs accept overdamped circuits
+        built.d = derive_dynamics(p)
     if run["type"] == "discrete":
         built.variant = _checked("run.variant", Variant, run["variant"])
         built.mode = _checked("run.mode", ConductionMode, run["mode"])
@@ -272,7 +275,7 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         built.variants = [_checked("run.variants", Variant, v) for v in run["variants"]]
         # the accuracy module owns the settling guard and its default
         try:
-            run["settle_symbols"] = _settle_guard(derive_dynamics(p), pat, run["settle_symbols"])
+            run["settle_symbols"] = _settle_guard(built.d, pat, run["settle_symbols"])
         except PatternTooShortError as exc:
             raise ConfigError("run.settle_symbols", str(exc)) from None
     elif run["type"] == "params":
@@ -294,9 +297,10 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
             topo["R_L"] = p.R_L
         load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
         params = {k: float(v) for k, v in topo.items() if k != "kind"}  # float("inf") for C_L
-        built.model = _build_model(p, _checked("run.topology", load_type, **params))
+        model = _build_model(p, _checked("run.topology", load_type, **params))
         # the model owns its initial-condition symbols
-        _checked("run.ic_values", ic_numerator, built.model, run["ic_values"])
+        _checked("run.ic_values", ic_numerator, model, run["ic_values"])
+        built.d = Dynamics.of(model)
     return cfg, built
 
 
@@ -314,11 +318,10 @@ def validate_config(raw: dict) -> dict:
 
 
 def _run_analytic(run, b) -> dict:
-    d = derive_dynamics(b.p)
     dt = b.mcfg.T / run["J"]
     t = np.arange(b.pat.K * run["J"]) * dt
-    transient = transient_component(d, b.ic, t)
-    data = data_component(d, b.pat, b.p.V1, t)
+    transient = transient_component(b.d, b.ic, t)
+    data = data_component(b.d, b.pat, b.p.V1, t)
     return {
         f"v2_{name}.csv": Waveform(dt=dt, t0=0.0, samples=samples)
         for name, samples in (("total", transient + data), ("transient", transient), ("data", data))
@@ -326,10 +329,9 @@ def _run_analytic(run, b) -> dict:
 
 
 def _run_gtx(run, b) -> dict:
-    d = derive_dynamics(b.p)
     T = b.mcfg.T
     t = np.linspace(run["t_min_periods"] * T, run["t_max_periods"] * T, run["points"])
-    return {"gtx.csv": (["t_s", "value"], [t, pulse_shape_gtx(d, b.mcfg.delta * T, t)])}
+    return {"gtx.csv": (["t_s", "value"], [t, pulse_shape_gtx(b.d, b.mcfg.delta * T, t)])}
 
 
 def _run_discrete(run, b) -> dict:
@@ -338,8 +340,7 @@ def _run_discrete(run, b) -> dict:
 
 
 def _run_spectrum(run, b) -> dict:
-    p, mcfg, pat = b.p, b.mcfg, b.pat
-    d = derive_dynamics(p)
+    p, d, mcfg, pat = b.p, b.d, b.mcfg, b.pat
     grid = np.logspace(np.log10(run["f_min"]), np.log10(run["f_max"]), run["points"])
     sg = ripple_spectrum(p, d, pat, grid)
 
@@ -397,11 +398,10 @@ def _run_params(run, b) -> dict:
 
 def _run_equalize(run, b) -> dict:
     p, ic, J = b.p, b.ic, run["J"]
-    d = derive_dynamics(p)
     v2, _ = simulate(p, b.pat, ic, J, Variant.EXACT)
     r = observe(v2, b.om)
     r_v2_units = Waveform(dt=r.dt, t0=r.t0, samples=r.samples / run["c_factor"])
-    cleaned = subtract_transient(r_v2_units, d, EstimatedIC(v2_0_hat=ic.v2_0, dv2_0_hat=ic.dv2_0))
+    cleaned = subtract_transient(r_v2_units, b.d, EstimatedIC(v2_0_hat=ic.v2_0, dv2_0_hat=ic.dv2_0))
     outputs = {"equalized.csv": equalize_frequency_domain(cleaned, p, eps=run["eps"])}
     if b.pat.K <= 12:
         detected = brute_force_detect(r_v2_units, p, b.mcfg, ic, J, b.pat.K)
@@ -416,7 +416,7 @@ def _run_equalize(run, b) -> dict:
 
 
 def _run_generalized(run, b) -> dict:
-    d, J = Dynamics.of(b.model), run["J"]
+    d, J = b.d, run["J"]
     w = sample_output(d, run["ic_values"], b.pat, b.p.V1, b.pat.T / J, b.pat.K * J)
     return {
         "v2_generalized.csv": w,

@@ -26,7 +26,7 @@ from .circuit import (
     initial_inductor_current,
 )
 from .discrete import Variant, _iterate, derive_params
-from .errors import ConfigError, GridMismatchError, IndivisibleDecimationError, TooManyBitsError
+from .errors import ConfigError, GridMismatchError, TooManyBitsError
 from .modulation import ModulationConfig, encode, sample_switching
 
 
@@ -55,16 +55,6 @@ class EstimatedIC:
     def __post_init__(self):
         if not (np.isfinite(self.v2_0_hat) and np.isfinite(self.dv2_0_hat)):
             raise ValueError(f"estimates must be finite, got {self!r}")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Sliding windows of the two state signals at one sub-sampled index."""
-
-    iL_window: tuple
-    v2_window: tuple
-    m: int
-    N_sub: int
 
 
 def observe(w: Waveform, om: ObservationModel) -> Waveform:
@@ -114,44 +104,6 @@ def equalize_frequency_domain(r: Waveform, p: CircuitParams, eps: float = 0.0) -
     gains = zf_response(p, freqs, eps)
     y = np.fft.ifft(np.fft.fft(x) * gains).real[:n] + mean
     return Waveform(dt=r.dt, t0=r.t0, samples=y)
-
-
-def build_state_sequence(
-    iL: Waveform,
-    v2: Waveform,
-    N_sub: int,
-    L_m: int = 2,
-    J: int | None = None,
-) -> list[JointState]:
-    """Joint states from sub-sampled trajectories.
-
-    State m holds the windows [x[m], x[m-1], ..., x[m-L_m+1]] of both signals
-    sampled at m*N_sub*dt; the first complete state is at m = L_m - 1.  When J
-    is given, N_sub must divide it so the sub-rate is a whole number of
-    samples per symbol.
-    """
-    if not (isinstance(N_sub, (int, np.integer)) and N_sub >= 1):
-        raise ValueError(f"N_sub must be an integer >= 1, got {N_sub!r}")
-    if L_m < 1:
-        raise ValueError(f"L_m must be >= 1, got {L_m!r}")
-    if J is not None and J % N_sub != 0:
-        raise IndivisibleDecimationError(f"N_sub = {N_sub} does not divide J = {J}")
-    if len(iL) != len(v2) or iL.dt != v2.dt or iL.t0 != v2.t0:
-        raise GridMismatchError("iL and v2 trajectories are not on the same grid")
-    iL_sub = iL.samples[::N_sub]
-    v2_sub = v2.samples[::N_sub]
-    states = []
-    for m in range(L_m - 1, len(iL_sub)):
-        sel = slice(m, m - L_m if m - L_m >= 0 else None, -1)
-        states.append(
-            JointState(
-                iL_window=tuple(iL_sub[sel]),
-                v2_window=tuple(v2_sub[sel]),
-                m=m,
-                N_sub=int(N_sub),
-            )
-        )
-    return states
 
 
 # frame models kept, one per receiver configuration in use; a detection

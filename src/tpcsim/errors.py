@@ -33,10 +33,6 @@ class GridMismatchError(ModelError):
     """Two waveforms do not share the same sample grid."""
 
 
-class IndivisibleDecimationError(ModelError):
-    """Oversampling factor not divisible by the requested decimation factor."""
-
-
 class TooManyBitsError(ModelError):
     """Exhaustive sequence search requested for more symbols than is tractable."""
 

@@ -30,7 +30,7 @@ from .analytic import Waveform, sample_output
 from .circuit import CircuitParams, Dynamics
 from .errors import ConfigError, DegenerateTopologyError
 from .modal import PoleResidue, RationalLaplace, expand_strictly_proper, find_poles, transfer_at
-from .modal import _ic_numerators, _modal_sum, ic_numerator
+from .modal import _ic_numerators, ic_numerator
 from .modulation import SwitchingPattern
 
 
@@ -128,39 +128,6 @@ def build_general_load_model(p: CircuitParams, gl: GeneralLoad) -> RationalLapla
             Q = Q[:2]
             P = P[:4]
     return RationalLaplace(num=Q, den=P, ic_numerators=_ic_numerators(P, Q))
-
-
-def partial_fractions(
-    r: RationalLaplace,
-    ic_values: Mapping[str, float] | None = None,
-) -> list[tuple[float, PoleResidue]]:
-    """Pole-residue expansion of the initial-condition response of V2(s).
-
-    Returns (delay, expansion) pairs: one pair with delay 0 when any initial
-    value is given, none otherwise.  A symbol the model does not know raises
-    ConfigError naming it.
-    """
-    if not ic_values:
-        return []
-    return [(0.0, expand_strictly_proper(ic_numerator(r, ic_values), r.den, find_poles(r)))]
-
-
-def inverse_laplace_distinct(pr: PoleResidue, t):
-    """sum_i residue_i * exp(pole_i * t) for t >= 0, zero before.
-
-    Conjugate pole/residue pairs must match to 1e-9 relative, so the sum is
-    real; an inconsistent expansion raises ArithmeticError.  Poles with
-    positive real part raise UnstablePoleError.
-    """
-    return evaluate_terms([(0.0, pr)], t)
-
-
-def evaluate_terms(terms, t):
-    """Superpose delayed expansion terms on a time grid."""
-    out = np.zeros(np.shape(t))
-    for delay, pr in terms:
-        out += _modal_sum(pr, [delay], [1.0], t)
-    return float(out) if np.isscalar(t) else out
 
 
 def simulate_generalized(

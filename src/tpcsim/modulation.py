@@ -107,7 +107,8 @@ def _validated_bits(bits) -> np.ndarray:
         raise ValueError("bits must contain only 0 and 1") from None
     if arr.ndim != 1:
         raise ValueError("bits must be a 1-d sequence")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    values = np.asarray(bits, dtype=float)  # the int cast turns 0.5 into 0 and 1.7 into 1
+    if arr.size and not np.all((values == 0) | (values == 1)):
         raise ValueError("bits must contain only 0 and 1")
     return arr
 

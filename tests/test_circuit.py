@@ -115,10 +115,10 @@ def test_cutoff_frequency_scaling():
 
 def test_impulse_response_causality_and_origin():
     d = derive_dynamics(FAST)
-    assert impulse_response(d, FAST, -1e-9) == 0.0
-    assert impulse_response(d, FAST, 0.0) == 0.0
+    assert impulse_response(d, -1e-9) == 0.0
+    assert impulse_response(d, 0.0) == 0.0
     t = np.array([-1e-6, 0.0, 1e-7])
-    h = impulse_response(d, FAST, t)
+    h = impulse_response(d, t)
     assert h[0] == 0.0 and h[1] == 0.0 and h[2] > 0.0
 
 
@@ -127,7 +127,7 @@ def test_impulse_response_unit_area():
     for p in (FAST, SLOW):
         d = derive_dynamics(p)
         t = np.linspace(0.0, 25.0 / d.a, 200001)
-        area = simpson(impulse_response(d, p, t), x=t)
+        area = simpson(impulse_response(d, t), x=t)
         assert area == pytest.approx(1.0, abs=1e-6)
 
 
@@ -136,7 +136,7 @@ def test_step_response_settles_to_dc_gain():
     d = derive_dynamics(FAST)
     t_end = 20.0 / d.a
     t = np.linspace(0.0, t_end, 400001)
-    area = np.trapezoid(impulse_response(d, FAST, t), t)
+    area = np.trapezoid(impulse_response(d, t), t)
     assert abs(area - 1.0) < 1e-4
 
 
@@ -159,7 +159,7 @@ def test_frequency_response_matches_impulse_response_dft():
         f3 = cutoff_frequency(p)
         dt = 1.0 / (1000.0 * f3)
         n = int(np.ceil(30.0 / d.a / dt))
-        h = impulse_response(d, p, np.arange(n) * dt)
+        h = impulse_response(d, np.arange(n) * dt)
         spec = np.fft.rfft(h) * dt
         freqs = np.fft.rfftfreq(n, dt)
         sel = (freqs > 0) & (freqs <= 5.0 * f3)

@@ -21,7 +21,6 @@ from tpcsim.equalization import (
     _frame_model,
     ObservationModel,
     brute_force_detect,
-    build_state_sequence,
     equalize_frequency_domain,
     observe,
     reconstruct_transient,
@@ -30,7 +29,6 @@ from tpcsim.equalization import (
 )
 from tpcsim.errors import (
     GridMismatchError,
-    IndivisibleDecimationError,
     TooManyBitsError,
     UnstableStepError,
 )
@@ -219,50 +217,6 @@ def test_equalize_recovers_band_limited_input():
     out = equalize_frequency_domain(w, p)
     target = v1_of(n0 * dt + np.arange(64 * J) * dt)
     assert np.abs(out.samples - target).max() < 0.02 * p.V1
-
-
-def test_state_sequence_windows():
-    pat = encode_vpwm(alternating_bits(4), CFG)
-    v2, iL = simulate(FAST, pat, IC, 8, Variant.EXACT)
-    states = build_state_sequence(iL, v2, N_sub=1, L_m=1, J=8)
-    assert len(states) == len(v2)
-    assert states[0].iL_window == (iL.samples[0],)
-    assert states[5].v2_window == (v2.samples[5],)
-
-    states2 = build_state_sequence(iL, v2, N_sub=2, L_m=3, J=8)
-    assert states2[0].m == 2
-    assert states2[0].iL_window == tuple(iL.samples[[4, 2, 0]])
-    assert states2[-1].v2_window[0] == v2.samples[2 * states2[-1].m]
-
-
-def test_state_sequence_uniqueness_for_same_bits():
-    pat = encode_vpwm([1, 0, 1], CFG)
-    v2a, iLa = simulate(FAST, pat, IC, 8, Variant.EXACT)
-    v2b, iLb = simulate(FAST, pat, IC, 8, Variant.EXACT)
-    sa = build_state_sequence(iLa, v2a, 2, 2, J=8)
-    sb = build_state_sequence(iLb, v2b, 2, 2, J=8)
-    assert sa == sb
-
-
-def test_state_sequence_decimation_consistency():
-    pat = encode_vpwm(alternating_bits(4), CFG)
-    v2, iL = simulate(FAST, pat, IC, 8, Variant.EXACT)
-    direct = build_state_sequence(iL, v2, N_sub=2, L_m=2, J=8)
-    dec = lambda w: Waveform(dt=2 * w.dt, t0=w.t0, samples=w.samples[::2])
-    pre = build_state_sequence(dec(iL), dec(v2), N_sub=1, L_m=2, J=4)
-    assert [(s.iL_window, s.v2_window, s.m) for s in direct] == [
-        (s.iL_window, s.v2_window, s.m) for s in pre
-    ]
-
-
-def test_state_sequence_guards():
-    pat = encode_vpwm(alternating_bits(4), CFG)
-    v2, iL = simulate(FAST, pat, IC, 8, Variant.EXACT)
-    with pytest.raises(IndivisibleDecimationError):
-        build_state_sequence(iL, v2, N_sub=3, L_m=2, J=8)
-    other = Waveform(dt=v2.dt * 2, t0=0.0, samples=v2.samples)
-    with pytest.raises(GridMismatchError):
-        build_state_sequence(iL, other, N_sub=1, L_m=1)
 
 
 def test_noiseless_detection_recovers_bits():

@@ -12,7 +12,7 @@ from oracles import (
     rk4_parasitic,
 )
 from tpcsim.analytic import sample_output, transient_component
-from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics
+from tpcsim.circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from tpcsim.errors import DegenerateTopologyError, RepeatedPolesError, UnstablePoleError
 from tpcsim.laplace import (
     GeneralLoad,
@@ -22,13 +22,12 @@ from tpcsim.laplace import (
     build_general_load_model,
     build_parasitic_model,
     expand_strictly_proper,
-    evaluate_terms,
     find_poles,
-    inverse_laplace_distinct,
-    partial_fractions,
+    ic_numerator,
     simulate_generalized,
     transfer_at,
 )
+from tpcsim.modal import _modal_sum
 from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vppm, encode_vpwm
 
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
@@ -138,9 +137,7 @@ def test_textbook_residues():
 def test_partial_fraction_round_trip_reconstruction():
     model = build_parasitic_model(SLOW, ParasiticParams(esr_C=0.2, esl_C=15e-9))
     ics = {"v2_0": 0.4, "dv2_0": 1e4, "d2v2_0": -2e9, "v1_0": 0.0, "dv1_0": 0.0}
-    terms = partial_fractions(model, ics)
-    (delay, pr), = terms
-    assert delay == 0.0
+    pr = expand_strictly_proper(ic_numerator(model, ics), model.den, find_poles(model))
     # rebuild the rational function from the expansion at random test points
     rng = np.random.default_rng(6)
     scale = np.abs(pr.poles).max()
@@ -157,8 +154,8 @@ def test_partial_fraction_round_trip_reconstruction():
 
 def test_conjugate_residues_for_real_input():
     model = build_parasitic_model(SLOW, ParasiticParams(esl_C=33e-9))
-    terms = partial_fractions(model, {"v2_0": 1.0, "dv2_0": 5e5})
-    _, pr = terms[0]
+    ics = {"v2_0": 1.0, "dv2_0": 5e5}
+    pr = expand_strictly_proper(ic_numerator(model, ics), model.den, find_poles(model))
     cplx = np.abs(pr.poles.imag) > 0
     res = pr.residues[cplx]
     assert res[0] == np.conj(res[1])
@@ -168,8 +165,8 @@ def test_base_transient_residues_match_closed_form():
     d = derive_dynamics(SLOW)
     model = build_parasitic_model(SLOW, ParasiticParams())
     v2_0, dv2_0 = 0.6, -3e5
-    terms = partial_fractions(model, {"v2_0": v2_0, "dv2_0": dv2_0})
-    _, pr = terms[0]
+    ics = {"v2_0": v2_0, "dv2_0": dv2_0}
+    pr = expand_strictly_proper(ic_numerator(model, ics), model.den, find_poles(model))
     rc_inv = 1.0 / (SLOW.R_L * SLOW.C)
     expected = {
         d.s01: (v2_0 * (d.s01 + rc_inv) + dv2_0) / (d.s01 - d.s02),
@@ -181,23 +178,23 @@ def test_base_transient_residues_match_closed_form():
     # and the inverse transform reproduces the closed-form transient
     t = np.linspace(0.0, 30.0 / d.a, 400)
     direct = transient_component(d, InitialConditions(v2_0, dv2_0), t)
-    assert np.allclose(inverse_laplace_distinct(pr, t), direct, rtol=0, atol=1e-10)
+    assert np.allclose(_modal_sum(pr, [0.0], [1.0], t), direct, rtol=0, atol=1e-10)
 
 
 def test_inverse_laplace_textbook_pairs():
     t = np.linspace(0.0, 5.0, 200)
     pr = PoleResidue(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]))
-    assert np.allclose(inverse_laplace_distinct(pr, t), np.exp(-t), rtol=1e-12)
+    assert np.allclose(_modal_sum(pr, [0.0], [1.0], t), np.exp(-t), rtol=1e-12)
     b = 3.0
     pr2 = PoleResidue(poles=np.array([1j * b, -1j * b]), residues=np.array([0.5, 0.5]))
-    assert np.allclose(inverse_laplace_distinct(pr2, t), np.cos(b * t), rtol=0, atol=1e-12)
-    assert inverse_laplace_distinct(pr, -1.0) == 0.0
+    assert np.allclose(_modal_sum(pr2, [0.0], [1.0], t), np.cos(b * t), rtol=0, atol=1e-12)
+    assert _modal_sum(pr, [0.0], [1.0], -1.0) == 0.0
 
 
 def test_inverse_laplace_rejects_unstable_poles():
     pr = PoleResidue(poles=np.array([0.5 + 0j]), residues=np.array([1.0 + 0j]))
     with pytest.raises(UnstablePoleError):
-        inverse_laplace_distinct(pr, np.array([0.0, 1.0]))
+        _modal_sum(pr, [0.0], [1.0], np.array([0.0, 1.0]))
 
 
 def test_inverse_laplace_rejects_non_conjugate_expansions():
@@ -209,18 +206,19 @@ def test_inverse_laplace_rejects_non_conjugate_expansions():
         (np.array([-1.0 + 0j]), np.array([1.0 + 1e-3j])),  # real pole, complex residue
     ):
         with pytest.raises(ArithmeticError):
-            inverse_laplace_distinct(PoleResidue(poles=poles, residues=residues), t)
+            _modal_sum(PoleResidue(poles=poles, residues=residues), [0.0], [1.0], t)
     # conjugate to rounding passes, and gives the real sum
     ok = PoleResidue(poles=pair, residues=np.array([0.5 + 0.1j, 0.5 - 0.1j * (1 + 1e-13)]))
     expected = np.exp(-t) * (np.cos(3 * t) - 0.2 * np.sin(3 * t))
-    assert np.allclose(inverse_laplace_distinct(ok, t), expected, rtol=0, atol=1e-12)
+    assert np.allclose(_modal_sum(ok, [0.0], [1.0], t), expected, rtol=0, atol=1e-12)
 
 
 def test_unstable_pole_rejected_among_delayed_terms():
     stable = PoleResidue(poles=np.array([-1.0 + 0j]), residues=np.array([1.0 + 0j]))
     unstable = PoleResidue(poles=np.array([-1.0 + 2j, 1e-3 - 2j]), residues=np.array([1.0, 1.0]))
+    t = np.linspace(0.0, 5.0, 20)
     with pytest.raises(UnstablePoleError):
-        evaluate_terms([(0.0, stable), (2.0, unstable)], np.linspace(0.0, 5.0, 20))
+        _modal_sum(stable, [0.0], [1.0], t) + _modal_sum(unstable, [2.0], [1.0], t)
 
 
 def test_degenerate_simulation_matches_base_closed_form():
@@ -238,11 +236,9 @@ def test_degenerate_simulation_matches_base_closed_form():
 def test_zero_drive_generalized_transient_decays():
     model_params = ParasiticParams(esr_C=0.1, esl_C=10e-9)
     model = build_parasitic_model(SLOW, model_params)
-    terms = partial_fractions(model, {"v2_0": 0.9, "dv2_0": 0.0, "d2v2_0": 0.0})
-    from tpcsim.laplace import evaluate_terms
-
+    ics = {"v2_0": 0.9, "dv2_0": 0.0, "d2v2_0": 0.0}
     t = np.linspace(0.0, 60.0 / 250000.0, 2000)
-    v = evaluate_terms(terms, t)
+    v = transient_component(Dynamics.of(model), ics, t)
     assert v[0] == pytest.approx(0.9, rel=1e-9)
     assert abs(v[-1]) < 1e-6 * 0.9
 

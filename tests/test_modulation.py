@@ -188,3 +188,16 @@ def test_randomized_pattern_invariants():
 def test_alternating_bits():
     assert np.array_equal(alternating_bits(5), [1, 0, 1, 0, 1])
     assert np.array_equal(alternating_bits(0), [])
+
+
+def test_encode_rejects_bits_that_are_not_whole():
+    for cfg in (vpwm(), vppm()):
+        for bits in ([0.5, 1.7], np.array([0.9, 0.2]), [1, 0.999]):
+            with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+                encode(bits, cfg)
+        # whole floats and bools are bits
+        want = encode([1, 0], cfg)
+        for bits in ([1.0, 0.0], np.array([1.0, 0.0]), [True, False]):
+            got = encode(bits, cfg)
+            assert np.array_equal(got.t_start, want.t_start)
+            assert np.array_equal(got.t_end, want.t_end)
