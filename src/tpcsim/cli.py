@@ -262,9 +262,6 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     )
 
     run = cfg["run"] = _tagged("run", cfg["run"], "type", _RUN)
-    if run["type"] not in ("discrete", "params", "generalized"):
-        # one base filter per run; discrete and params runs accept overdamped circuits
-        built.d = derive_dynamics(p)
     if run["type"] == "discrete":
         built.variant = _checked("run.variant", Variant, run["variant"])
         built.mode = _checked("run.mode", ConductionMode, run["mode"])
@@ -273,11 +270,6 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         _two_samples(pat, run, "J_fft", "the FFT cross-check")
     elif run["type"] == "accuracy":
         built.variants = [_checked("run.variants", Variant, v) for v in run["variants"]]
-        # the accuracy module owns the settling guard and its default
-        try:
-            run["settle_symbols"] = _settle_guard(built.d, pat, run["settle_symbols"])
-        except PatternTooShortError as exc:
-            raise ConfigError("run.settle_symbols", str(exc)) from None
     elif run["type"] == "params":
         lc = p.L * p.C
         built.circuits = [
@@ -301,13 +293,26 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         # the model owns its initial-condition symbols
         _checked("run.ic_values", ic_numerator, model, run["ic_values"])
         built.d = Dynamics.of(model)
+    if run["type"] not in ("discrete", "params", "generalized"):
+        # one base filter per run, built once the checks that do not need it
+        # passed; discrete and params runs accept overdamped circuits
+        built.d = derive_dynamics(p)
+    if run["type"] == "accuracy":
+        # the accuracy module owns the settling guard and its default, which
+        # follows the filter's decay
+        try:
+            run["settle_symbols"] = _settle_guard(built.d, pat, run["settle_symbols"])
+        except PatternTooShortError as exc:
+            raise ConfigError("run.settle_symbols", str(exc)) from None
     return cfg, built
 
 
 def validate_config(raw: dict) -> dict:
     """Check a scenario dict and return its fully resolved form.
 
-    Raises ConfigError naming the offending field on the first problem found.
+    Raises ConfigError naming the offending field on the first problem found,
+    and ModelError when the run's filter cannot be built (an overdamped
+    circuit where a run needs the complex-pole model).
     """
     return _resolve(raw)[0]
 

@@ -69,16 +69,12 @@ def reconstruct_transient(d: Dynamics, e: EstimatedIC, t):
     return transient_component(d, InitialConditions(e.v2_0_hat, e.dv2_0_hat), t)
 
 
-def subtract_transient(
-    r: Waveform, d: Dynamics, e: EstimatedIC, c_assumed: float = 1.0
-) -> Waveform:
+def subtract_transient(r: Waveform, d: Dynamics, e: EstimatedIC) -> Waveform:
     """Remove the reconstructed transient from an observation starting at t = 0."""
     if r.t0 != 0.0:
         raise ValueError(f"observation must start at t = 0, got t0 = {r.t0!r}")
     t = r.times()
-    return Waveform(
-        dt=r.dt, t0=r.t0, samples=r.samples - c_assumed * reconstruct_transient(d, e, t)
-    )
+    return Waveform(dt=r.dt, t0=r.t0, samples=r.samples - reconstruct_transient(d, e, t))
 
 
 def zf_response(p: CircuitParams, f, eps: float = 0.0):
@@ -119,16 +115,17 @@ def _frame_model(
     J: int,
     K: int,
     variant: Variant,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """(z, Y, G, cross2): the frame-independent part of the candidate distances.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(z, Y, B, q): the frame-independent part of the candidate distances.
 
     z is the all-zero-bits trajectory from the initial conditions, row k of Y
     the zero-state response to symbol k's one-minus-zero switching difference,
-    G = Y Y^T, and cross2[k] twice sum_{j<k} b_j G_jk for every k-bit prefix
-    b.  A symbol's response depends only on its J difference samples and on
-    whether it is symbol 0, so the kernel runs once per distinct block and
-    later symbols with that block take the run truncated to their start.
-    Memoized per configuration; every array is read-only.
+    row i of B the bits b_i that spell i in binary, first bit most significant,
+    and q_i = b_i^T G b_i with G = Y Y^T.  A symbol's response depends only on
+    its J difference samples and on whether it is symbol 0, so the kernel runs
+    once per distinct block and later symbols with that block take the run
+    truncated to their start.  Memoized per configuration; every array is
+    read-only.
     """
     dp = derive_params(p, J, cfg.T, variant)
     N = K * J
@@ -151,19 +148,15 @@ def _frame_model(
             s1_k[k * J - n0 : (k + 1) * J - n0] = block
             runs[key] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
         Y[k, n0:] = runs[key][: N - n0]
+    B = ((np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(float)
     # einsum rather than @ keeps detection off BLAS, whose first call maps
     # about 0.5 MB of work buffers into the process
     G = np.einsum("jn,kn->jk", Y, Y)
-    cross = np.zeros((1, K))  # sum_j b_j G_jk over each prefix's bits, for the bits to come
-    cross2 = []
-    for k in range(K):
-        cross2.append(2.0 * cross[:, 0])
-        rest = cross[:, 1:]
-        cross = np.stack([rest, rest + G[k, k + 1 :]], axis=1).reshape(2 * len(rest), K - k - 1)
-    z, cross2 = np.frombuffer(z), tuple(cross2)
-    for a in (z, Y, G, *cross2):
+    q = np.einsum("ij,jk,ik->i", B, G, B)
+    z = np.frombuffer(z)
+    for a in (z, Y, B, q):
         a.flags.writeable = False
-    return z, Y, G, cross2
+    return z, Y, B, q
 
 
 def _candidate_distances(
@@ -175,29 +168,12 @@ def _candidate_distances(
     K: int,
     variant: Variant,
 ) -> np.ndarray:
-    """Squared distances of all 2^K candidate v2 trajectories from r[:K*J].
-
-    Entry i belongs to the bit sequence that spells i in binary, first bit
-    most significant, so the order is lexicographic.  The CCM iteration is
-    linear, so the trajectory of bits b is z + sum_k b_k y_k (see
-    _frame_model, which builds z, the y_k and their Gram matrix G once per
-    configuration).  With e = z - r and h_k = y_k.e, the distance of b is
-    e.e + sum_k b_k (2 h_k + G_kk + 2 sum_{j<k} b_j G_jk), summed here one
-    bit at a time over all prefixes; only e and h depend on the frame.
-    """
-    z, Y, G, cross2 = _frame_model(p, cfg, ic, int(J), int(K), variant)
+    """Squared distances ||z + B_i Y - r||^2 of all 2^K candidates from r[:K*J]:
+    e.e + q + B (2h), with e = z - r and h = Y e (see _frame_model)."""
+    z, Y, B, q = _frame_model(p, cfg, ic, int(J), int(K), variant)
     e = z - r.samples[: K * J]
     h = np.einsum("kn,n->k", Y, e)
-    distances = np.empty(1 << K)
-    spare = np.empty(1 << K)
-    distances[0] = np.einsum("n,n->", e, e)
-    for k in range(K):
-        # prefix i's children are 2i (bit k = 0) and 2i + 1 (bit k = 1)
-        children = spare[: 2 << k].reshape(-1, 2)
-        children[:, 0] = distances[: 1 << k]
-        np.add(distances[: 1 << k], 2.0 * h[k] + G[k, k] + cross2[k], out=children[:, 1])
-        distances, spare = spare, distances
-    return distances
+    return np.einsum("n,n->", e, e) + q + np.einsum("ik,k->i", B, 2.0 * h)
 
 
 def brute_force_detect(
@@ -231,5 +207,5 @@ def brute_force_detect(
             f"observation grid (t0 = {r.t0!r}, dt = {r.dt!r}) is not the "
             f"detection grid (t0 = 0, dt = T/J = {cfg.T / J!r})"
         )
-    best = int(np.argmin(_candidate_distances(r, p, cfg, ic, J, K, variant)))
-    return (best >> np.arange(K - 1, -1, -1)) & 1
+    B = _frame_model(p, cfg, ic, int(J), int(K), variant)[2]
+    return B[np.argmin(_candidate_distances(r, p, cfg, ic, J, K, variant))].astype(int)

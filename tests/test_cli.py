@@ -197,6 +197,7 @@ GTX, EQUALIZE, GENERALIZED = "fig2_gtx", "equalize_k8", "generalized_parasitic"
 FIG6 = "fig6_bias"
 DISCRETE = {"type": "discrete", "J": 10}
 LOAD = {"kind": "general_load"}
+OVERDAMPED = {"circuit.R_L": 0.5}  # below the damping boundary of every preset circuit
 
 # (preset, changes, field named in the error, exit code)
 REJECTED = [
@@ -264,12 +265,26 @@ REJECTED = [
     (SPECTRUM, {"run.f_max": 1.0}, "run.f_max", 2),
     (PARAMS, {"run.c_values": [1e-6, -1e-7]}, "run.c_values", 2),
     (PARAMS, {"run.c_values": [0.0]}, "run.c_values", 2),
+    # config errors on an overdamped circuit come before the filter is built
+    (EQUALIZE, {**OVERDAMPED, "run.sigma": -0.1}, "run.sigma", 2),
+    (EQUALIZE, {**OVERDAMPED, "run.c_factor": 0.0}, "run.c_factor", 2),
+    (EQUALIZE, {**OVERDAMPED, "seed": -1}, "seed", 2),
+    (EQUALIZE, {**OVERDAMPED, "bits": ""}, "bits", 2),
+    (EQUALIZE, {**OVERDAMPED, "bits": "1", "run.J": 1}, "run.J", 2),
+    (SPECTRUM, {**OVERDAMPED, "bits": ""}, "bits", 2),
+    (SPECTRUM, {**OVERDAMPED, "bits": "1", "run.J_fft": 1, "run.settle_symbols": 0}, "run.J_fft", 2),
+    (ACCURACY, {**OVERDAMPED, "run.variants": ["exact", "implicit"]}, "run.variants", 2),
 ]
 
 
-@pytest.mark.parametrize(
-    "preset, changes, field, code", REJECTED, ids=[f"{row[0]}:{row[2]}" for row in REJECTED]
-)
+# the overdamped rows repeat earlier ones, so their ids say so
+REJECTED_IDS = [
+    f"{preset}:{field}" + (":overdamped" if OVERDAMPED.items() <= changes.items() else "")
+    for preset, changes, field, _ in REJECTED
+]
+
+
+@pytest.mark.parametrize("preset, changes, field, code", REJECTED, ids=REJECTED_IDS)
 def test_rejected_config_names_its_field(tmp_path, capsys, preset, changes, field, code):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_mutated(preset, changes)))

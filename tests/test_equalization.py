@@ -274,6 +274,26 @@ def test_superposition_distances_equal_direct_distances(bits, J, cfg, variant, s
     assert np.array_equal(detected, bits_matrix[np.argmin(direct)])
 
 
+@pytest.mark.parametrize("variant, seed", [(Variant.EXACT, 1), (Variant.PREDICTIVE, 2)])
+def test_benchmark_frame_distances_equal_direct_distances(variant, seed):
+    # the frame shape detection is timed on: K = 12 symbols at J = 32
+    K, J = 12, 32
+    bits = np.random.default_rng(seed).integers(0, 2, K)
+    v2, _ = simulate(FAST, encode(bits, CFG), IC, J, variant)
+    r = observe(v2, ObservationModel(sigma=0.002, seed=seed))
+    distances = _candidate_distances(r, FAST, CFG, IC, J, K, variant)
+    bits_matrix = (np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
+    direct = np.array(
+        [
+            np.sum((simulate(FAST, encode(b, CFG), IC, J, variant)[0].samples - r.samples) ** 2)
+            for b in bits_matrix
+        ]
+    )
+    assert np.abs(distances - direct).max() <= 1e-9 * direct.max()
+    detected = brute_force_detect(r, FAST, CFG, IC, J, K, variant)
+    assert np.array_equal(detected, bits_matrix[np.argmin(direct)])
+
+
 def per_symbol_distances(r, p, cfg, ic, J, K, variant):
     """Reference construction: one kernel run per symbol, all on every call."""
     dp = derive_params(p, J, cfg.T, variant)
@@ -291,14 +311,9 @@ def per_symbol_distances(r, p, cfg, ic, J, K, variant):
     e = np.frombuffer(z) - r.samples[:N]
     h = np.einsum("kn,n->k", Y, e)
     G = np.einsum("jn,kn->jk", Y, Y)
-    distances = np.array([np.einsum("n,n->", e, e)])
-    cross = np.zeros((1, K))
-    for k in range(K):
-        gain = distances + (2.0 * h[k] + G[k, k] + 2.0 * cross[:, 0])
-        distances = np.stack([distances, gain], axis=1).ravel()
-        rest = cross[:, 1:]
-        cross = np.stack([rest, rest + G[k, k + 1 :]], axis=1).reshape(2 * len(rest), K - k - 1)
-    return distances
+    B = ((np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(float)
+    q = np.einsum("ij,jk,ik->i", B, G, B)
+    return np.einsum("n,n->", e, e) + q + np.einsum("ik,k->i", B, 2.0 * h)
 
 
 @settings(max_examples=200)
@@ -353,8 +368,8 @@ def test_frame_model_cache_keys_on_every_configuration_field():
             assert np.array_equal(_candidate_distances(frames[J], p, cfg, ic, J, K, variant), want)
     info = _frame_model.cache_info()
     assert (info.misses, info.hits) == (len(configs), len(configs))
-    z, Y, G, cross2 = _frame_model(FAST, CFG, IC, 8, K, Variant.EXACT)
-    for a in (z, Y, G, *cross2):
+    z, Y, B, q = _frame_model(FAST, CFG, IC, 8, K, Variant.EXACT)
+    for a in (z, Y, B, q):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
 
