@@ -79,14 +79,6 @@ class Dynamics:
     def b(self) -> float:
         return float(np.max(np.abs(self.poles.imag)))
 
-    @property
-    def s01(self) -> complex:
-        return complex(-self.a, self.b)
-
-    @property
-    def s02(self) -> complex:
-        return complex(-self.a, -self.b)
-
 
 @dataclass(frozen=True)
 class InitialConditions:

@@ -1,12 +1,10 @@
 """Higher-order rational transfer models of the circuit extensions.
 
-Two circuit extensions are covered:
-
-* output capacitor with equivalent series resistance and inductance (plus
-  optional, equal switch on-resistances), giving a cubic denominator;
-* a series R-L-C impedance load, giving a quartic denominator.
-
-Both are represented as a single input/output differential equation
+Output capacitor ESR and ESL (plus optional, equal switch on-resistances) give
+a cubic denominator, and a series R-L-C impedance load a quartic one.  Both
+are one network: a series branch Z1 feeds the capacitor branch Zc in parallel
+with the load ZL, so H = Zp/(Z1 + Zp) with Zp = Zc || ZL.  _network_model
+builds H = Q/P from the branch impedances, which is the equation
 
     sum_i P_i * v2^(i)(t) = sum_j Q_j * v1^(j)(t)
 
@@ -67,6 +65,25 @@ class GeneralLoad:
             raise ConfigError("C_L", f"must be > 0 (math.inf for a short), got {self.C_L!r}")
 
 
+def _network_model(z1: np.ndarray, zc: tuple, zl: tuple) -> RationalLaplace:
+    """H = Zp/(Z1 + Zp) with Zp = Zc || ZL: the series branch z1 (a polynomial)
+    feeds the capacitor branch zc in parallel with the load zl, both given as
+    (numerator, denominator).  An absent element leaves exact zeros at the top
+    of P and Q, and trimming them lowers the degree."""
+    Q = _trimmed_sum(np.convolve(zc[0], zl[0]))
+    shunt = _trimmed_sum(np.convolve(zc[0], zl[1]), np.convolve(zl[0], zc[1]))
+    P = _trimmed_sum(np.convolve(z1, shunt), Q)
+    return RationalLaplace(num=Q, den=P, ic_numerators=_ic_numerators(P, Q))
+
+
+def _trimmed_sum(*polys: np.ndarray) -> np.ndarray:
+    """Sum of ascending coefficient arrays of any lengths, without its top zeros."""
+    out = np.zeros(max(map(len, polys)))
+    for c in polys:
+        out[: len(c)] += c
+    return out[: out.nonzero()[0][-1] + 1]
+
+
 def build_parasitic_model(p: CircuitParams, q: ParasiticParams) -> RationalLaplace:
     """Transfer model with (esr_C, esl_C) in series with the output capacitor.
 
@@ -77,25 +94,11 @@ def build_parasitic_model(p: CircuitParams, q: ParasiticParams) -> RationalLapla
     """
     if q.r_ds_on_1 != q.r_ds_on_2:
         raise DegenerateTopologyError(
-            "unequal switch on-resistances give a time-varying system with no "
-            "single rational transfer model; the state-space route handles them"
+            f"r_ds_on_1 = {q.r_ds_on_1} ohm and r_ds_on_2 = {q.r_ds_on_2} ohm differ, so the "
+            "circuit switches between two dynamics and has no single rational transfer model"
         )
-    r = q.r_ds_on_1
-    L, C, RL = p.L, p.C, p.R_L
-    rc, lc = q.esr_C, q.esl_C
-    Q = np.array([RL, RL * rc * C, RL * lc * C])
-    P = np.array(
-        [
-            r + RL,
-            r * C * (rc + RL) + L + RL * rc * C,
-            r * lc * C + L * C * (rc + RL) + RL * lc * C,
-            L * lc * C,
-        ]
-    )
-    if lc == 0.0:
-        P = P[:3]
-        Q = Q[:2] if rc > 0.0 else Q[:1]
-    return RationalLaplace(num=Q, den=P, ic_numerators=_ic_numerators(P, Q))
+    zc = (np.array([1.0, q.esr_C * p.C, q.esl_C * p.C]), np.array([0.0, p.C]))
+    return _network_model(np.array([q.r_ds_on_1, p.L]), zc, (np.array([p.R_L]), np.array([1.0])))
 
 
 def build_general_load_model(p: CircuitParams, gl: GeneralLoad) -> RationalLaplace:
@@ -105,29 +108,12 @@ def build_general_load_model(p: CircuitParams, gl: GeneralLoad) -> RationalLapla
     load (L_L = 0, C_L = inf) reduces to the base second-order model; both
     extra elements together give the full quartic.
     """
-    L, C = p.L, p.C
     RL, LL, CL = gl.R_L, gl.L_L, gl.C_L
-    if math.isinf(CL):
-        Q = np.array([RL, LL])
-        P = np.array([RL, L + LL, L * C * RL, L * C * LL])
-        if LL == 0.0:
-            Q = Q[:1]
-            P = P[:3]
+    if math.isinf(CL):  # a short: the general form would leave a common factor s
+        zl = (np.array([RL, LL]), np.array([1.0]))
     else:
-        Q = np.array([1.0, RL * CL, LL * CL])
-        P = np.array(
-            [
-                1.0,
-                RL * CL,
-                L * C + LL * CL + L * CL,
-                L * C * RL * CL,
-                L * C * LL * CL,
-            ]
-        )
-        if LL == 0.0:
-            Q = Q[:2]
-            P = P[:4]
-    return RationalLaplace(num=Q, den=P, ic_numerators=_ic_numerators(P, Q))
+        zl = (np.array([1.0, RL * CL, LL * CL]), np.array([0.0, CL]))
+    return _network_model(np.array([0.0, p.L]), (np.array([1.0]), np.array([0.0, p.C])), zl)
 
 
 def simulate_generalized(

@@ -28,8 +28,9 @@ def test_derive_dynamics_reference_values():
     d = derive_dynamics(FAST)
     assert d.a == pytest.approx(50000.0, rel=1e-12)
     assert d.b == pytest.approx(312249.8999199199, rel=1e-12)
-    assert d.s01 == pytest.approx(complex(-d.a, d.b))
-    assert d.s02 == np.conj(d.s01)
+    s01, s02 = d.poles
+    assert s01 == pytest.approx(complex(-d.a, d.b))
+    assert s02 == np.conj(s01)
 
 
 @settings(max_examples=200)

@@ -1,5 +1,7 @@
 """Tests for the generalized rational transfer models and inverse transforms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     general_derivative_ics,
+    general_state_space,
     parasitic_derivative_ics,
+    parasitic_state_space,
     rk4_general,
     rk4_parasitic,
 )
@@ -49,7 +53,7 @@ def test_no_parasitics_reduces_to_base_model():
     assert model.degree == 2
     d = derive_dynamics(SLOW)
     poles = find_poles(model)
-    assert np.allclose(sorted(poles, key=lambda z: z.imag), [d.s02, d.s01], rtol=1e-10)
+    assert np.allclose(sorted(poles, key=lambda z: z.imag), d.poles[::-1], rtol=1e-10)
     assert transfer_at(model, 0.0) == pytest.approx(1.0)
 
 
@@ -74,7 +78,7 @@ def test_general_load_degrees():
 
 
 def test_unequal_switch_resistances_rejected():
-    with pytest.raises(DegenerateTopologyError):
+    with pytest.raises(DegenerateTopologyError, match="r_ds_on_1"):
         build_parasitic_model(SLOW, ParasiticParams(r_ds_on_1=0.1, r_ds_on_2=0.2))
 
 
@@ -168,9 +172,10 @@ def test_base_transient_residues_match_closed_form():
     ics = {"v2_0": v2_0, "dv2_0": dv2_0}
     pr = expand_strictly_proper(ic_numerator(model, ics), model.den, find_poles(model))
     rc_inv = 1.0 / (SLOW.R_L * SLOW.C)
+    s01, s02 = d.poles
     expected = {
-        d.s01: (v2_0 * (d.s01 + rc_inv) + dv2_0) / (d.s01 - d.s02),
-        d.s02: -(v2_0 * (d.s02 + rc_inv) + dv2_0) / (d.s01 - d.s02),
+        s01: (v2_0 * (s01 + rc_inv) + dv2_0) / (s01 - s02),
+        s02: -(v2_0 * (s02 + rc_inv) + dv2_0) / (s01 - s02),
     }
     for pole, res in zip(pr.poles, pr.residues):
         key = min(expected, key=lambda z: abs(z - pole))
@@ -278,6 +283,62 @@ def test_parasitic_simulation_property_against_state_space_oracle(esl_C, esr_C, 
     w = simulate_generalized(SLOW, q, pat, parasitic_derivative_ics(SLOW, q, x0), J)
     ref = rk4_parasitic(SLOW, q, pat, x0, J)
     assert np.abs(w.samples - ref).max() < 1e-6 * np.abs(ref).max()
+
+
+def assert_transfer_matches_state_space(model, p, A, B, c_row):
+    """transfer_at(model, jw) against c (jwI - A)^-1 B to 1e-8 relative, at 25
+    frequencies from 1e-3 to 1e3 times 1/sqrt(LC).  The scale is the size of
+    Q's terms, sum |Q_j| w^j / |P(jw)|: never below |H|, and near it except
+    where Q(jw) cancels (esr_C = 0 puts a zero on the jw axis at
+    1/sqrt(esl_C*C), where |H| is 0 to rounding)."""
+    s = 1j * np.logspace(-3.0, 3.0, 25) / math.sqrt(p.L * p.C)
+    ref = np.array([c_row @ np.linalg.solve(si * np.eye(len(B)) - A, B) for si in s])
+    scale = np.polyval(np.abs(model.num[::-1]), np.abs(s)) / np.abs(np.polyval(model.den[::-1], s))
+    assert np.all(np.abs(transfer_at(model, s) - ref) <= 1e-8 * scale)
+
+
+LOG_CIRCUIT = {
+    "log_L": st.floats(-7.0, -3.0),
+    "log_C": st.floats(-9.0, -4.0),
+    "log_R": st.floats(-1.0, 3.0),
+}
+PRESENT = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("esr, r_ds_on", PRESENT)
+@settings(max_examples=100)
+@given(
+    **LOG_CIRCUIT,
+    log_esl=st.floats(-10.0, -7.0),
+    log_esr=st.floats(-3.0, 0.0),
+    log_r=st.floats(-3.0, 0.0),
+)
+def test_parasitic_transfer_matches_state_space_oracle(
+    esr, r_ds_on, log_L, log_C, log_R, log_esl, log_esr, log_r
+):
+    """The parasitic model in the frequency domain, with esr_C and an equal
+    r_ds_on each absent or present (the oracle needs esl_C > 0)."""
+    p = CircuitParams(L=10.0**log_L, C=10.0**log_C, R_L=10.0**log_R)
+    r = 10.0**log_r if r_ds_on else 0.0
+    rc = 10.0**log_esr if esr else 0.0
+    q = ParasiticParams(esr_C=rc, esl_C=10.0**log_esl, r_ds_on_1=r, r_ds_on_2=r)
+    model = build_parasitic_model(p, q)
+    assert_transfer_matches_state_space(model, p, *parasitic_state_space(p, q))
+
+
+@pytest.mark.parametrize("series_L, series_C", PRESENT)
+@settings(max_examples=100)
+@given(**LOG_CIRCUIT, log_LL=st.floats(-7.0, -3.0), log_CL=st.floats(-9.0, -4.0))
+def test_general_load_transfer_matches_state_space_oracle(
+    series_L, series_C, log_L, log_C, log_R, log_LL, log_CL
+):
+    """The general-load model in the frequency domain, in all four cases of
+    L_L (0 or present) and C_L (a short or present)."""
+    p = CircuitParams(L=10.0**log_L, C=10.0**log_C, R_L=10.0**log_R)
+    LL = 10.0**log_LL if series_L else 0.0
+    gl = GeneralLoad(R_L=p.R_L, L_L=LL, C_L=10.0**log_CL if series_C else math.inf)
+    model = build_general_load_model(p, gl)
+    assert_transfer_matches_state_space(model, p, *general_state_space(p, gl))
 
 
 def test_general_load_simulation_matches_state_space_oracle():
