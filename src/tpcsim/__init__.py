@@ -32,12 +32,10 @@ from .circuit import (
 )
 from .discrete import ConductionMode, DiscreteParams, SimState, Variant, derive_params, simulate, step
 from .equalization import (
-    EstimatedIC,
     ObservationModel,
     brute_force_detect,
     equalize_frequency_domain,
     observe,
-    reconstruct_transient,
     subtract_transient,
     zf_response,
 )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuit import Dynamics, InitialConditions
 from .errors import ResolutionTooCoarseError
-from .modal import _modal_sum, expand_strictly_proper, ic_numerator, step_expansion
+from .modal import _modal_sum, _readonly, expand_strictly_proper, ic_numerator, step_expansion
 from .modulation import SwitchingPattern
 
 
@@ -39,13 +39,11 @@ class Waveform:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        arr = np.asarray(self.samples, dtype=float).copy()
-        if arr.ndim != 1:
+        object.__setattr__(self, "samples", _readonly(self.samples))
+        if self.samples.ndim != 1:
             raise ValueError("samples must be 1-d")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
         return len(self.samples)

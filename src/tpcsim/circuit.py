@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OverdampedError
-from .modal import RationalLaplace, _ic_numerators, _modal_sum, _readonly, expand_strictly_proper
+from .modal import RationalLaplace, _modal_sum, _readonly, expand_strictly_proper
 from .modal import find_poles, transfer_at
 
 
@@ -25,7 +25,7 @@ def _lc_model(c0: float, c1: float, c2: float) -> RationalLaplace:
     poles -a +/- jb give (a^2 + b^2, 2a, 1), whose den' = 2a + 2s has no real
     part at the poles, so the impulse response starts at exactly 0."""
     den = np.array([c0, c1, c2])
-    return RationalLaplace(num=den[:1], den=den, ic_numerators=_ic_numerators(den, den[:1]))
+    return RationalLaplace(num=den[:1], den=den)
 
 
 @dataclass(frozen=True)

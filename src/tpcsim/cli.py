@@ -27,7 +27,6 @@ from .analytic import Waveform, data_component, pulse_shape_gtx, sample_output, 
 from .circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from .discrete import ConductionMode, Variant, derive_params, simulate
 from .equalization import (
-    EstimatedIC,
     ObservationModel,
     brute_force_detect,
     equalize_frequency_domain,
@@ -406,7 +405,7 @@ def _run_equalize(run, b) -> dict:
     v2, _ = simulate(p, b.pat, ic, J, Variant.EXACT)
     r = observe(v2, b.om)
     r_v2_units = Waveform(dt=r.dt, t0=r.t0, samples=r.samples / run["c_factor"])
-    cleaned = subtract_transient(r_v2_units, b.d, EstimatedIC(v2_0_hat=ic.v2_0, dv2_0_hat=ic.dv2_0))
+    cleaned = subtract_transient(r_v2_units, b.d, ic)
     outputs = {"equalized.csv": equalize_frequency_domain(cleaned, p, eps=run["eps"])}
     if b.pat.K <= 12:
         detected = brute_force_detect(r_v2_units, p, b.mcfg, ic, J, b.pat.K)

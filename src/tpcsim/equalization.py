@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -47,14 +48,8 @@ class ObservationModel:
             raise ConfigError("seed", f"must be >= 0, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class EstimatedIC:
-    v2_0_hat: float
-    dv2_0_hat: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.v2_0_hat) and np.isfinite(self.dv2_0_hat)):
-            raise ValueError(f"estimates must be finite, got {self!r}")
+# the former name of the estimates type, still imported by the long_stream benchmark
+EstimatedIC = InitialConditions
 
 
 def observe(w: Waveform, om: ObservationModel) -> Waveform:
@@ -64,17 +59,14 @@ def observe(w: Waveform, om: ObservationModel) -> Waveform:
     return Waveform(dt=w.dt, t0=w.t0, samples=om.c * w.samples + noise)
 
 
-def reconstruct_transient(d: Dynamics, e: EstimatedIC, t):
-    """Transient rebuilt from estimated initial values (same closed form)."""
-    return transient_component(d, InitialConditions(e.v2_0_hat, e.dv2_0_hat), t)
-
-
-def subtract_transient(r: Waveform, d: Dynamics, e: EstimatedIC) -> Waveform:
-    """Remove the reconstructed transient from an observation starting at t = 0."""
+def subtract_transient(
+    r: Waveform, d: Dynamics, ic: InitialConditions | Mapping[str, float]
+) -> Waveform:
+    """Remove d's transient from an observation that starts at t = 0; ic is
+    InitialConditions or a mapping of d's initial-condition symbols."""
     if r.t0 != 0.0:
         raise ValueError(f"observation must start at t = 0, got t0 = {r.t0!r}")
-    t = r.times()
-    return Waveform(dt=r.dt, t0=r.t0, samples=r.samples - reconstruct_transient(d, e, t))
+    return Waveform(dt=r.dt, t0=r.t0, samples=r.samples - transient_component(d, ic, r.times()))
 
 
 def zf_response(p: CircuitParams, f, eps: float = 0.0):

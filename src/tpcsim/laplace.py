@@ -27,8 +27,8 @@ import numpy as np
 from .analytic import Waveform, sample_output
 from .circuit import CircuitParams, Dynamics
 from .errors import ConfigError, DegenerateTopologyError
-from .modal import PoleResidue, RationalLaplace, expand_strictly_proper, find_poles, transfer_at
-from .modal import _ic_numerators, ic_numerator
+from .modal import PoleResidue, RationalLaplace, expand_strictly_proper, find_poles, ic_numerator
+from .modal import transfer_at
 from .modulation import SwitchingPattern
 
 
@@ -73,7 +73,7 @@ def _network_model(z1: np.ndarray, zc: tuple, zl: tuple) -> RationalLaplace:
     Q = _trimmed_sum(np.convolve(zc[0], zl[0]))
     shunt = _trimmed_sum(np.convolve(zc[0], zl[1]), np.convolve(zl[0], zc[1]))
     P = _trimmed_sum(np.convolve(z1, shunt), Q)
-    return RationalLaplace(num=Q, den=P, ic_numerators=_ic_numerators(P, Q))
+    return RationalLaplace(num=Q, den=P)
 
 
 def _trimmed_sum(*polys: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, RepeatedPolesError, UnstablePoleError
+from .errors import ConfigError, ModelError, RepeatedPolesError, UnstablePoleError
 
 _V2_SYMBOLS = ("v2_0", "dv2_0", "d2v2_0", "d3v2_0")
 _V1_SYMBOLS = ("v1_0", "dv1_0")
@@ -26,22 +26,15 @@ def _readonly(a, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RationalLaplace:
-    """Forcing numerator, denominator, and initial-condition numerators.
-
-    ic_numerators maps symbol names ("v2_0", "dv2_0", "d2v2_0", "d3v2_0",
-    "v1_0", "dv1_0") to the ascending-coefficient polynomial each initial
-    value contributes to the numerator of V2(s).
-    """
+    """Forcing numerator Q and denominator P of V2(s)*P(s) = Q(s)*V1(s) plus
+    initial-condition terms, which ic_numerator derives from the two."""
 
     num: np.ndarray
     den: np.ndarray
-    ic_numerators: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "num", _readonly(self.num))
         object.__setattr__(self, "den", _readonly(self.den))
-        table = tuple((sym, _readonly(c)) for sym, c in self.ic_numerators)
-        object.__setattr__(self, "ic_numerators", table)
         if not 2 <= self.degree <= 4:
             raise ValueError(f"denominator degree must be 2..4, got {self.degree}")
         if self.den[-1] == 0.0:
@@ -75,18 +68,12 @@ def _polyval_asc(coeffs: np.ndarray, s):
     return out
 
 
-def _ic_numerators(P: np.ndarray, Q: np.ndarray) -> tuple:
-    """Symbol table of sum_i P_i v2^(i) = sum_j Q_j v1^(j): v2^(m)(0) multiplies
-    sum_{i>m} P_i s^(i-1-m) and v1^(m)(0) multiplies -sum_{j>m} Q_j s^(j-1-m)."""
-    v2 = [(_V2_SYMBOLS[m], np.array(P[m + 1 :], dtype=float)) for m in range(len(P) - 1)]
-    v1 = [(_V1_SYMBOLS[m], -np.array(Q[m + 1 :], dtype=float)) for m in range(len(Q) - 1)]
-    return tuple(v2 + v1)
-
-
 def ic_numerator(r: RationalLaplace, ic_values: Mapping[str, float]) -> np.ndarray:
-    """Numerator over r.den of V2(s)'s initial-condition response; ConfigError
-    names a symbol the model does not know."""
-    table = dict(r.ic_numerators)
+    """Numerator over r.den of V2(s)'s initial-condition response: v2^(m)(0)
+    multiplies sum_{i>m} P_i s^(i-1-m) and v1^(m)(0) -sum_{j>m} Q_j s^(j-1-m).
+    ConfigError names a symbol the model does not know."""
+    table = {_V2_SYMBOLS[m]: r.den[m + 1 :] for m in range(r.degree)}
+    table.update({_V1_SYMBOLS[m]: -r.num[m + 1 :] for m in range(len(r.num) - 1)})
     unknown = sorted(set(ic_values) - set(table))
     if unknown:
         raise ConfigError(unknown[0], f"unknown initial-condition symbol; one of {list(table)}")
@@ -107,36 +94,46 @@ def _balanced_roots(den: np.ndarray) -> np.ndarray:
 
     SI-unit coefficients span tens of orders of magnitude, so the polynomial
     is evaluated in units of a Cauchy-style root-magnitude bound before the
-    eigenvalue solve and the residual check.
+    eigenvalue solve.  ModelError when that scaling overflows, or when a root's
+    backward error |P(r)| / sum_k |P_k|*|r|^k exceeds 1e-8.
     """
     deg = len(den) - 1
     lead = abs(den[-1])
-    sigma = max((abs(den[k]) / lead) ** (1.0 / (deg - k)) for k in range(deg) if den[k] != 0.0)
-    scaled = den * sigma ** np.arange(deg + 1)
-    scaled = scaled / np.max(np.abs(scaled))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        sigma = max(
+            (abs(den[k]) / lead) ** (1.0 / (deg - k)) for k in range(deg) if den[k] != 0.0
+        )
+        scaled = den * sigma ** np.arange(deg + 1)
+        scaled = scaled / np.max(np.abs(scaled))
+    if not np.all(np.isfinite(scaled)):
+        raise ModelError(f"denominator coefficients {den} overflow when scaled to find roots")
     roots = np.roots(scaled[::-1])
-    residuals = np.abs(_polyval_asc(scaled, roots))
-    worst = float(np.max(residuals))
-    if worst >= 1e-8:
-        raise ArithmeticError(f"root residual {worst:.3e} exceeds 1e-8 of the coefficient norm")
+    terms = scaled * roots[:, None] ** np.arange(deg + 1)  # P_k*r^k, one row per root
+    residuals, sizes = np.abs(terms.sum(axis=1)), np.abs(terms).sum(axis=1)
+    bad = residuals > 1e-8 * sizes
+    if np.any(bad):
+        worst = float(np.max(residuals[bad] / sizes[bad]))
+        raise ModelError(
+            f"denominator coefficients {den} give a root with backward error {worst:.3e}"
+        )
     return roots * sigma
 
 
 def find_poles(r: RationalLaplace) -> np.ndarray:
-    """All denominator roots, residual-verified, sorted by (real, imag).
+    """All denominator roots, backward-error-verified, sorted by (real, imag).
 
-    Near-real roots are snapped to the real axis; complex pairs come out of the
-    real companion matrix's eigenvalue solve (LAPACK dgeev) as exact conjugates.
-    Raises RepeatedPolesError when two roots sit within 1e-6 relative distance
-    of each other; the distinct-pole expansion below would be ill-defined.
+    Each root is judged on its own magnitude: one within 1e-9*|r| of the real
+    axis is snapped to it, and complex pairs come out of the real companion
+    matrix's eigenvalue solve (LAPACK dgeev) as exact conjugates.  Raises
+    RepeatedPolesError when two roots differ by less than 1e-6 of the larger
+    one's magnitude; the distinct-pole expansion below would be ill-defined.
     """
     roots = _balanced_roots(r.den)
-    scale = float(np.max(np.abs(roots))) or 1.0
-    roots = np.where(np.abs(roots.imag) <= 1e-9 * scale, roots.real + 0j, roots)
+    roots = np.where(np.abs(roots.imag) <= 1e-9 * np.abs(roots), roots.real + 0j, roots)
     poles = np.array(sorted(roots.tolist(), key=lambda z: (z.real, z.imag)), dtype=complex)
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) < 1e-6 * scale:
+            if abs(poles[i] - poles[j]) < 1e-6 * max(abs(poles[i]), abs(poles[j])):
                 raise RepeatedPolesError(f"poles {poles[i]:.6g} and {poles[j]:.6g} are not distinct")
     return poles
 

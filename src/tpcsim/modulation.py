@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DepthOutOfRangeError
+from .modal import _readonly
 
 
 class Scheme(Enum):
@@ -42,12 +43,6 @@ class ModulationConfig:
             raise ConfigError("delta", f"must lie in (0, 1), got {self.delta!r}")
         if not (math.isfinite(self.depth) and self.depth >= 0):
             raise ConfigError("depth", f"must be finite and >= 0, got {self.depth!r}")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float).copy()
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

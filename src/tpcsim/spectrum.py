@@ -17,7 +17,7 @@ import numpy as np
 from .analytic import Waveform
 from .circuit import CircuitParams, Dynamics
 from .errors import ZeroFrequencyError
-from .modal import transfer_at
+from .modal import _readonly, transfer_at
 from .modulation import SwitchingPattern
 
 _BLOCK = 128  # frequencies and symbols per block: each complex temporary <= 256 KB
@@ -36,16 +36,13 @@ class SpectrumGrid:
     dc_mass: float = 0.0
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float).copy()
-        v = np.asarray(self.values, dtype=complex).copy()
-        if f.shape != v.shape or f.ndim != 1:
+        object.__setattr__(self, "frequencies", _readonly(self.frequencies))
+        object.__setattr__(self, "values", _readonly(self.values, dtype=complex))
+        f = self.frequencies
+        if f.shape != self.values.shape or f.ndim != 1:
             raise ValueError("frequencies and values must be 1-d arrays of equal length")
         if f.size and not (np.all(f > 0.0) and np.all(np.diff(f) > 0.0)):
             raise ValueError("frequencies must be strictly positive and increasing")
-        f.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
 
     def magnitude_db(self, scale: float = 1.0) -> np.ndarray:
         """20*log10(|X|/scale), with -inf clamped for exact nulls."""

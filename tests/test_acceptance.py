@@ -30,11 +30,9 @@ from tpcsim.circuit import (
 )
 from tpcsim.discrete import ConductionMode, Variant, derive_params, simulate
 from tpcsim.equalization import (
-    EstimatedIC,
     ObservationModel,
     brute_force_detect,
     observe,
-    reconstruct_transient,
     zf_response,
 )
 from tpcsim.errors import RepeatedPolesError
@@ -370,9 +368,9 @@ def test_criterion_8_equalization_identities():
     for _ in range(100):
         ev, edv = rng.uniform(-0.1, 0.1), rng.uniform(-1e5, 1e5)
         lam = rng.uniform(-2.0, 2.0)
-        res = truth - reconstruct_transient(d, EstimatedIC(ic.v2_0 + ev, ic.dv2_0 + edv), t)
-        res_lam = truth - reconstruct_transient(
-            d, EstimatedIC(ic.v2_0 + lam * ev, ic.dv2_0 + lam * edv), t
+        res = truth - transient_component(d, InitialConditions(ic.v2_0 + ev, ic.dv2_0 + edv), t)
+        res_lam = truth - transient_component(
+            d, InitialConditions(ic.v2_0 + lam * ev, ic.dv2_0 + lam * edv), t
         )
         lin_ok &= np.allclose(res_lam, lam * res, rtol=1e-9, atol=1e-12)
 
@@ -500,11 +498,12 @@ def test_criterion_9_generalized_solver():
         s_test = (rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100)) * np.abs(
             pr.poles
         ).max()
-        table = dict(model.ic_numerators)
+        # the initial-condition numerator by hand: v2^(m)(0) multiplies P[m+1:], v1^(m)(0) -Q[m+1:]
         num = np.zeros(model.degree)
-        for sym, val in ics.items():
-            c = table[sym]
-            num[: len(c)] += val * c
+        for m, sym in enumerate(("v2_0", "dv2_0", "d2v2_0", "d3v2_0")[: model.degree]):
+            num[: model.degree - m] += ics.get(sym, 0.0) * model.den[m + 1 :]
+        for m, sym in enumerate(("v1_0", "dv1_0")[: len(model.num) - 1]):
+            num[: len(model.num) - 1 - m] -= ics.get(sym, 0.0) * model.num[m + 1 :]
         direct = np.polyval(num[::-1], s_test) / np.polyval(model.den[::-1], s_test)
         rebuilt = np.sum(pr.residues[None, :] / (s_test[:, None] - pr.poles[None, :]), axis=1)
         roundtrip_ok &= bool(np.allclose(rebuilt, direct, rtol=1e-8, atol=1e-30))

@@ -9,6 +9,7 @@ from tpcsim.analytic import Waveform, data_component, sample_output, transient_c
 from tpcsim import equalization
 from tpcsim.circuit import (
     CircuitParams,
+    Dynamics,
     InitialConditions,
     derive_dynamics,
     frequency_response,
@@ -16,21 +17,26 @@ from tpcsim.circuit import (
 )
 from tpcsim.discrete import Variant, _iterate, derive_params, simulate
 from tpcsim.equalization import (
-    EstimatedIC,
     _candidate_distances,
     _frame_model,
     ObservationModel,
     brute_force_detect,
     equalize_frequency_domain,
     observe,
-    reconstruct_transient,
     subtract_transient,
     zf_response,
 )
 from tpcsim.errors import (
+    ConfigError,
     GridMismatchError,
     TooManyBitsError,
     UnstableStepError,
+)
+from tpcsim.laplace import (
+    GeneralLoad,
+    ParasiticParams,
+    build_general_load_model,
+    build_parasitic_model,
 )
 from tpcsim.modulation import (
     ModulationConfig,
@@ -84,14 +90,6 @@ def test_observe_noise_statistics():
     assert np.array_equal(r.samples, r2.samples)
 
 
-def test_reconstruct_matches_transient_for_exact_estimates():
-    d = derive_dynamics(FAST)
-    t = np.linspace(0.0, 5e-5, 500)
-    exact = transient_component(d, IC, t)
-    rebuilt = reconstruct_transient(d, EstimatedIC(IC.v2_0, IC.dv2_0), t)
-    assert np.array_equal(exact, rebuilt)
-
-
 def test_residual_transient_linearity():
     d = derive_dynamics(FAST)
     rng = np.random.default_rng(4)
@@ -101,11 +99,11 @@ def test_residual_transient_linearity():
         ev = rng.uniform(-0.05, 0.05)
         edv = rng.uniform(-5e4, 5e4)
         lam = rng.uniform(-3.0, 3.0)
-        res1 = truth - reconstruct_transient(d, EstimatedIC(IC.v2_0 + ev, IC.dv2_0 + edv), t)
+        res1 = truth - transient_component(d, InitialConditions(IC.v2_0 + ev, IC.dv2_0 + edv), t)
         res_neg = transient_component(d, InitialConditions(-ev, -edv), t)
         assert np.allclose(res1, res_neg, rtol=1e-9, atol=1e-14)
-        res_lam = truth - reconstruct_transient(
-            d, EstimatedIC(IC.v2_0 + lam * ev, IC.dv2_0 + lam * edv), t
+        res_lam = truth - transient_component(
+            d, InitialConditions(IC.v2_0 + lam * ev, IC.dv2_0 + lam * edv), t
         )
         assert np.allclose(res_lam, lam * res1, rtol=1e-9, atol=1e-12)
 
@@ -115,7 +113,7 @@ def test_subtract_transient_recovers_data_component():
     pat = encode_vpwm(alternating_bits(8), CFG)
     J = 32
     w = sample_output(d, IC, pat, FAST.V1, T / J, pat.K * J)
-    cleaned = subtract_transient(w, d, EstimatedIC(IC.v2_0, IC.dv2_0))
+    cleaned = subtract_transient(w, d, IC)
     expected = data_component(d, pat, FAST.V1, w.times())
     assert np.allclose(cleaned.samples, expected, atol=1e-12)
 
@@ -126,7 +124,7 @@ def test_subtract_transient_error_bound():
     J = 32
     w = sample_output(d, IC, pat, FAST.V1, T / J, pat.K * J)
     eps_v = 0.01 * FAST.V1
-    cleaned = subtract_transient(w, d, EstimatedIC(IC.v2_0 + eps_v, IC.dv2_0))
+    cleaned = subtract_transient(w, d, InitialConditions(IC.v2_0 + eps_v, IC.dv2_0))
     truth = data_component(d, pat, FAST.V1, w.times())
     resid = np.abs(cleaned.samples - truth)
     t = w.times()
@@ -136,12 +134,42 @@ def test_subtract_transient_error_bound():
 
 def test_subtracted_amount_does_not_depend_on_data():
     d = derive_dynamics(FAST)
-    est = EstimatedIC(0.7, 1e3)
+    est = InitialConditions(0.7, 1e3)
     r1 = make_obs([1, 0, 1, 1])
     r2 = make_obs([0, 1, 0, 0])
     removed1 = r1.samples - subtract_transient(r1, d, est).samples
     removed2 = r2.samples - subtract_transient(r2, d, est).samples
     assert np.allclose(removed1, removed2, rtol=0, atol=1e-15)
+
+
+SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
+EXTENSIONS = {
+    "parasitic": (
+        build_parasitic_model(SLOW, ParasiticParams(esr_C=0.2, esl_C=15e-9)),
+        {"v2_0": 0.4, "dv2_0": 1e4, "d2v2_0": -2e9},
+    ),
+    "general_load": (
+        build_general_load_model(SLOW, GeneralLoad(R_L=20.0, L_L=40e-6, C_L=2e-6)),
+        {"v2_0": 0.4, "dv2_0": 1e4, "d2v2_0": -2e9, "d3v2_0": 3e14},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+def test_subtract_transient_on_circuit_extensions(name):
+    model, ics = EXTENSIONS[name]
+    d = Dynamics.of(model)
+    pat = encode_vpwm(alternating_bits(10), CFG)
+    J = 64
+    w = sample_output(d, ics, pat, SLOW.V1, T / J, pat.K * J)
+    cleaned = subtract_transient(w, d, ics)
+    expected = data_component(d, pat, SLOW.V1, w.times())
+    assert np.abs(cleaned.samples - expected).max() <= 1e-12 * SLOW.V1
+    # a symbol the model does not have is named, whatever the filter
+    unknown = "d4v2_0" if model.degree == 4 else "d3v2_0"
+    with pytest.raises(ConfigError) as exc:
+        subtract_transient(w, d, {**ics, unknown: 1.0})
+    assert exc.value.field == unknown
 
 
 def test_zf_identity_and_regularization():
@@ -427,7 +455,7 @@ def test_subtract_then_detect_equals_detection_on_data_component():
     for seed in range(5):
         om = ObservationModel(c=1.0, sigma=sigma, seed=seed)
         path_a = brute_force_detect(
-            subtract_transient(observe(full, om), d, EstimatedIC(IC.v2_0, IC.dv2_0)),
+            subtract_transient(observe(full, om), d, IC),
             FAST, CFG, ic0, J, pat.K,
         )
         path_b = brute_force_detect(observe(data_only, om), FAST, CFG, ic0, J, pat.K)

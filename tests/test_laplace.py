@@ -17,7 +17,7 @@ from oracles import (
 )
 from tpcsim.analytic import sample_output, transient_component
 from tpcsim.circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
-from tpcsim.errors import DegenerateTopologyError, RepeatedPolesError, UnstablePoleError
+from tpcsim.errors import DegenerateTopologyError, ModelError, RepeatedPolesError, UnstablePoleError
 from tpcsim.laplace import (
     GeneralLoad,
     ParasiticParams,
@@ -45,7 +45,7 @@ def pattern(K=10, depth=0.025):
 
 def make_rational(den_roots, num=(1.0,)):
     den = np.poly(den_roots)[::-1].real
-    return RationalLaplace(num=np.array(num, float), den=den, ic_numerators=())
+    return RationalLaplace(num=np.array(num, float), den=den)
 
 
 def test_no_parasitics_reduces_to_base_model():
@@ -111,6 +111,26 @@ def test_find_poles_rejects_repeated_roots():
         find_poles(model)
 
 
+@pytest.mark.parametrize("esr_C", [0.0, 0.1])
+def test_stiff_esl_gives_true_poles_or_model_error(esr_C):
+    """Each root is judged on its own scale: on SLOW, esl_C from 1e-9 down to
+    1e-300 H (every decade, plus 5e-11) either gives poles whose residues
+    reproduce the state-space transfer, or Dynamics.of raises ModelError.  The
+    slow pair stays a distinct complex pair from 5e-11 to 1e-15 H, where its
+    separation is tiny next to the fast pole.  A RuntimeWarning fails the test."""
+    for esl_C in [5e-11] + [10.0**-k for k in range(9, 301)]:
+        q = ParasiticParams(esr_C=esr_C, esl_C=esl_C)
+        model = build_parasitic_model(SLOW, q)
+        try:
+            d = Dynamics.of(model)
+        except ModelError:
+            assert esl_C < 1e-15, esl_C
+            continue
+        if esl_C >= 1e-15:
+            assert np.count_nonzero(d.poles.imag) == 2, (esl_C, d.poles)
+        assert_transfer_matches_state_space(model, SLOW, *parasitic_state_space(SLOW, q), d.poles)
+
+
 def test_round_trip_random_stable_quartics():
     rng = np.random.default_rng(31)
     done = 0
@@ -146,11 +166,12 @@ def test_partial_fraction_round_trip_reconstruction():
     rng = np.random.default_rng(6)
     scale = np.abs(pr.poles).max()
     s_test = (rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100)) * scale
-    table = dict(model.ic_numerators)
+    # the initial-condition numerator by hand: v2^(m)(0) multiplies P[m+1:], v1^(m)(0) -Q[m+1:]
     num = np.zeros(model.degree)
-    for sym, val in ics.items():
-        c = table[sym]
-        num[: len(c)] += val * c
+    for m, sym in enumerate(("v2_0", "dv2_0", "d2v2_0", "d3v2_0")[: model.degree]):
+        num[: model.degree - m] += ics.get(sym, 0.0) * model.den[m + 1 :]
+    for m, sym in enumerate(("v1_0", "dv1_0")[: len(model.num) - 1]):
+        num[: len(model.num) - 1 - m] -= ics.get(sym, 0.0) * model.num[m + 1 :]
     direct = np.polyval(num[::-1], s_test) / np.polyval(model.den[::-1], s_test)
     from_pr = np.sum(pr.residues[None, :] / (s_test[:, None] - pr.poles[None, :]), axis=1)
     assert np.allclose(from_pr, direct, rtol=1e-8)
@@ -285,16 +306,22 @@ def test_parasitic_simulation_property_against_state_space_oracle(esl_C, esr_C, 
     assert np.abs(w.samples - ref).max() < 1e-6 * np.abs(ref).max()
 
 
-def assert_transfer_matches_state_space(model, p, A, B, c_row):
+def assert_transfer_matches_state_space(model, p, A, B, c_row, poles=None):
     """transfer_at(model, jw) against c (jwI - A)^-1 B to 1e-8 relative, at 25
     frequencies from 1e-3 to 1e3 times 1/sqrt(LC).  The scale is the size of
     Q's terms, sum |Q_j| w^j / |P(jw)|: never below |H|, and near it except
     where Q(jw) cancels (esr_C = 0 puts a zero on the jw axis at
-    1/sqrt(esl_C*C), where |H| is 0 to rounding)."""
+    1/sqrt(esl_C*C), where |H| is 0 to rounding).  Given poles, H is instead
+    sum_i res_i/(jw - p_i) from the model's residues there."""
     s = 1j * np.logspace(-3.0, 3.0, 25) / math.sqrt(p.L * p.C)
     ref = np.array([c_row @ np.linalg.solve(si * np.eye(len(B)) - A, B) for si in s])
     scale = np.polyval(np.abs(model.num[::-1]), np.abs(s)) / np.abs(np.polyval(model.den[::-1], s))
-    assert np.all(np.abs(transfer_at(model, s) - ref) <= 1e-8 * scale)
+    if poles is None:
+        h = transfer_at(model, s)
+    else:
+        pr = expand_strictly_proper(model.num, model.den, poles)
+        h = np.sum(pr.residues / (s[:, None] - pr.poles), axis=1)
+    assert np.all(np.abs(h - ref) <= 1e-8 * scale)
 
 
 LOG_CIRCUIT = {
