@@ -22,9 +22,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import presets as presets_mod
-from .accuracy import _settle_guard, reference_samples, sweep
+from .accuracy import _settle_guard, default_settle_symbols, reference_samples, sweep
 from .analytic import Waveform, data_component, pulse_shape_gtx, sample_output, transient_component
-from .circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
+from .circuit import CircuitParams, Dynamics, InitialConditions, _lc_model, derive_dynamics
 from .discrete import ConductionMode, Variant, derive_params, simulate
 from .equalization import (
     ObservationModel,
@@ -65,7 +65,6 @@ _MODULATION = {
     "delta": ("number", _REQUIRED),
     "depth": ("number", 0.0),
 }
-_IC = {"steady": ("boolean", False), "v2_0": ("number", 0.0), "dv2_0": ("number", 0.0)}
 _ROOT = {
     "schema_version": ("integer", _REQUIRED),
     "name": ("string", "scenario"),
@@ -73,7 +72,7 @@ _ROOT = {
     "circuit": (_CIRCUIT, _REQUIRED),
     "modulation": (_MODULATION, _REQUIRED),
     "bits": ("string, array or object", ""),
-    "ic": (_IC, {}),
+    "ic": ("object", {}),
     "run": ("object", _REQUIRED),
 }
 _ALTERNATING = {"pattern": ("string", _REQUIRED), "K": ("integer", _REQUIRED)}
@@ -92,7 +91,7 @@ _RUN = {
         "f_max": ("number", _REQUIRED, (operator.gt, "f_min")),
         "points": ("integer", 2000, (operator.ge, 2)),
         "J_fft": ("integer", 64, (operator.ge, 1)),
-        "settle_symbols": ("integer", 48, (operator.ge, 0)),
+        "settle_symbols": ("integer", None, (operator.ge, 0)),
     },
     "accuracy": {
         "J_list": ("[integer, ...]", _REQUIRED, (operator.ge, 1)),
@@ -107,11 +106,7 @@ _RUN = {
         "c_factor": ("number", 1.0),
         "eps": ("number", 0.0, (operator.ge, 0)),
     },
-    "generalized": {
-        "J": _J,
-        "topology": ("object", _REQUIRED),
-        "ic_values": ("{name: number}", {}),
-    },
+    "generalized": {"J": _J, "topology": ("object", _REQUIRED)},
 }
 # run.topology.kind -> the topology's fields besides "kind"; general_load's
 # R_L defaults to circuit.R_L
@@ -150,9 +145,6 @@ def _typed(path: str, kind, value):
             raise ConfigError(path, "must not be empty")
         elem = kind[1:-1].removesuffix(", ...")
         return [_typed(f"{path}[{i}]", elem, v) for i, v in enumerate(items)]
-    if kind == "{name: number}":
-        items = _typed(path, "object", value).items()
-        return {k: _typed(f"{path}.{k}", "number", v) for k, v in items}
     if kind == 'number or "inf"':
         if value == "inf":  # kept as the string, which JSON can hold
             return value
@@ -249,15 +241,20 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     pat = _checked("bits", encode, list(bits), mcfg)
     cfg["bits"] = [int(b) for b in bits]
 
-    ic = cfg["ic"]
-    if ic["steady"]:
-        ic.update(v2_0=mcfg.delta * p.V1, dv2_0=0.0)
+    # steady, then numbers keyed by the initial-condition symbols of the run's
+    # filter, which checks them once it is built
+    ic = {"steady": False, "v2_0": 0.0, "dv2_0": 0.0} | cfg["ic"]
+    ic = cfg["ic"] = {
+        k: _typed(f"ic.{k}", "boolean" if k == "steady" else "number", v) for k, v in ic.items()
+    }
+    if ic["steady"]:  # the DC operating point: v2_0 = delta*V1, every other symbol 0
+        ic.update(dict.fromkeys(ic, 0.0), steady=True, v2_0=mcfg.delta * p.V1)
     built = SimpleNamespace(
         p=p,
         mcfg=mcfg,
         bits=np.array(cfg["bits"], dtype=int),
         pat=pat,
-        ic=_checked("ic", InitialConditions, ic["v2_0"], ic["dv2_0"]),
+        ic={k: v for k, v in ic.items() if k != "steady"},
     )
 
     run = cfg["run"] = _tagged("run", cfg["run"], "type", _RUN)
@@ -288,14 +285,14 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
             topo["R_L"] = p.R_L
         load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
         params = {k: float(v) for k, v in topo.items() if k != "kind"}  # float("inf") for C_L
-        model = _build_model(p, _checked("run.topology", load_type, **params))
-        # the model owns its initial-condition symbols
-        _checked("run.ic_values", ic_numerator, model, run["ic_values"])
-        built.d = Dynamics.of(model)
+        built.d = Dynamics.of(_build_model(p, _checked("run.topology", load_type, **params)))
     if run["type"] not in ("discrete", "params", "generalized"):
-        # one base filter per run, built once the checks that do not need it
-        # passed; discrete and params runs accept overdamped circuits
+        # one base filter per run, built once the checks that do not need it passed
         built.d = derive_dynamics(p)
+    # the run's filter names the initial-condition symbols; discrete and params
+    # runs accept overdamped circuits and build none, so the base LC model does
+    model = built.d.model if hasattr(built, "d") else _lc_model(1.0, p.L / p.R_L, p.L * p.C)
+    _checked("ic", ic_numerator, model, built.ic)
     if run["type"] == "accuracy":
         # the accuracy module owns the settling guard and its default, which
         # follows the filter's decay
@@ -303,6 +300,9 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
             run["settle_symbols"] = _settle_guard(built.d, pat, run["settle_symbols"])
         except PatternTooShortError as exc:
             raise ConfigError("run.settle_symbols", str(exc)) from None
+    elif run["type"] == "spectrum" and run["settle_symbols"] is None:
+        # the cross-check extends the pattern cyclically, so any guard fits it
+        run["settle_symbols"] = default_settle_symbols(built.d, mcfg.T)
     return cfg, built
 
 
@@ -339,7 +339,7 @@ def _run_gtx(run, b) -> dict:
 
 
 def _run_discrete(run, b) -> dict:
-    v2, iL = simulate(b.p, b.pat, b.ic, run["J"], b.variant, b.mode)
+    v2, iL = simulate(b.p, b.pat, InitialConditions(**b.ic), run["J"], b.variant, b.mode)
     return {"v2_discrete.csv": v2, "il_discrete.csv": iL}
 
 
@@ -401,7 +401,7 @@ def _run_params(run, b) -> dict:
 
 
 def _run_equalize(run, b) -> dict:
-    p, ic, J = b.p, b.ic, run["J"]
+    p, ic, J = b.p, InitialConditions(**b.ic), run["J"]
     v2, _ = simulate(p, b.pat, ic, J, Variant.EXACT)
     r = observe(v2, b.om)
     r_v2_units = Waveform(dt=r.dt, t0=r.t0, samples=r.samples / run["c_factor"])
@@ -421,7 +421,7 @@ def _run_equalize(run, b) -> dict:
 
 def _run_generalized(run, b) -> dict:
     d, J = b.d, run["J"]
-    w = sample_output(d, run["ic_values"], b.pat, b.p.V1, b.pat.T / J, b.pat.K * J)
+    w = sample_output(d, b.ic, b.pat, b.p.V1, b.pat.T / J, b.pat.K * J)
     return {
         "v2_generalized.csv": w,
         "model.json": {
@@ -533,7 +533,7 @@ def main(argv=None) -> int:
             try:
                 config = presets_mod.get_preset(args.name)
             except KeyError as exc:
-                raise ConfigError("preset", str(exc))
+                raise ConfigError("preset", exc.args[0])  # str() would quote it
             config.setdefault("name", args.name)
         run_scenario(config, args.out)
         return 0

@@ -131,7 +131,6 @@ _PRESETS = {
             "type": "generalized",
             "J": 64,
             "topology": {"kind": "parasitic", "esr_C": 0.1, "esl_C": 10e-9},
-            "ic_values": {"v2_0": 0.0},
         },
     },
 }

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcsim.analytic import Waveform
-from tpcsim.cli import _render, main, run_scenario, validate_config
+from tpcsim.analytic import Waveform, sample_output
+from tpcsim.circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
+from tpcsim.cli import _RUN, _render, main, run_scenario, validate_config
+from tpcsim.discrete import ConductionMode, Variant, simulate
 from tpcsim.errors import ConfigError
+from tpcsim.laplace import ParasiticParams, build_parasitic_model
+from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode
 from tpcsim.presets import get_preset, list_presets
+from tpcsim.spectrum import ripple_spectrum
 
 
 def fig4_config():
@@ -158,6 +163,17 @@ def test_every_preset_runs_clean_within_budget(tmp_path):
         assert time.perf_counter() - start < 60.0
 
 
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(missing), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {missing}: cannot read config" in capsys.readouterr().err
+
+
+def test_unknown_preset_is_a_config_error(tmp_path, capsys):
+    assert main(["preset", "nope", "--out", str(tmp_path)]) == 2
+    assert "config error: preset: unknown preset 'nope'; available: " in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "tpcsim.cli", "list-presets"],
@@ -232,7 +248,12 @@ REJECTED = [
     (GENERALIZED, {"run.topology": {**LOAD, "R_L": -1.0}}, "run.topology.R_L", 2),
     (GENERALIZED, {"run.topology": {**LOAD, "L_L": -1e-6}}, "run.topology.L_L", 2),
     (GENERALIZED, {"run.topology": {**LOAD, "C_L": 0.0}}, "run.topology.C_L", 2),
-    (GENERALIZED, {"run.ic_values": {"v3_0": 0.0}}, "run.ic_values.v3_0", 2),
+    # initial-condition symbols the run's filter does not know, and the
+    # generalized run's own field that the root ic replaced
+    (GENERALIZED, {"ic": {"v3_0": 0.0}}, "ic.v3_0", 2),
+    (FIG4, {"ic": {"d2v2_0": 1.0}}, "ic.d2v2_0", 2),
+    (FIG4, {**OVERDAMPED, "run": DISCRETE, "ic": {"d2v2_0": 1.0}}, "ic.d2v2_0", 2),
+    (GENERALIZED, {"run.ic_values": {"v2_0": 0.0}}, "run.ic_values", 2),
     # a spectrum pattern too short for its FFT cross-check
     (SPECTRUM, {"bits": ""}, "bits", 2),
     (SPECTRUM, {"bits": "1", "run.J_fft": 1, "run.settle_symbols": 0}, "run.J_fft", 2),
@@ -253,7 +274,7 @@ REJECTED = [
     (FIG4, {"ic": {"v2_0": INF}}, "ic.v2_0", 2),
     (GTX, {"run.t_max_periods": INF}, "run.t_max_periods", 2),
     (GENERALIZED, {"run.topology.esr_C": NAN}, "run.topology.esr_C", 2),
-    (GENERALIZED, {"run.ic_values": {"v2_0": NAN}}, "run.ic_values.v2_0", 2),
+    (GENERALIZED, {"ic": {"v2_0": NAN}}, "ic.v2_0", 2),
     (FIG4, {"circuit.L": 10**400}, "circuit.L", 2),
     # unknown fields
     (GENERALIZED, {"run.topology.esr": 0.1}, "run.topology.esr", 2),
@@ -306,17 +327,110 @@ def test_unstable_predictive_run_is_a_model_error(tmp_path, capsys):
     assert "model error: dt = 1e-06 s: the predictive update" in capsys.readouterr().err
 
 
+def _csv_columns(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+
+
+# given ic -> the resolved ic without steady: v2_0 and dv2_0 default to 0, any
+# other symbol appears when given, and steady sets v2_0 = delta*V1 and the rest 0
+GENERALIZED_ICS = {
+    "v2_0": ({"v2_0": 0.5}, {"v2_0": 0.5, "dv2_0": 0.0}),
+    "d2v2_0": ({"d2v2_0": 1e9}, {"v2_0": 0.0, "dv2_0": 0.0, "d2v2_0": 1e9}),
+    "steady": ({"steady": True}, {"v2_0": 0.75, "dv2_0": 0.0}),
+    "steady_d2v2_0": ({"steady": True, "d2v2_0": 1e9}, {"v2_0": 0.75, "dv2_0": 0.0, "d2v2_0": 0.0}),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERALIZED_ICS))
+def test_generalized_run_starts_from_the_root_ic(tmp_path, case):
+    """The sidecar's ic is the one the generalized output starts from."""
+    given, resolved = GENERALIZED_ICS[case]
+    run_scenario(_mutated(GENERALIZED, {"ic": given}), tmp_path)
+    meta = json.loads((tmp_path / "v2_generalized.csv.meta.json").read_text())
+    assert meta["ic"] == {"steady": "steady" in given, **resolved}
+    p = CircuitParams(**meta["circuit"])
+    d = Dynamics.of(build_parasitic_model(p, ParasiticParams(esr_C=0.1, esl_C=10e-9)))
+    pat = encode(meta["bits"], ModulationConfig(Scheme.VPWM, 1e-6, 0.75, 0.025))
+    expected = sample_output(d, resolved, pat, p.V1, 1e-6 / 64, pat.K * 64)
+    _, v2 = _csv_columns(tmp_path / "v2_generalized.csv")
+    assert np.array_equal(v2, expected.samples)
+
+
+@pytest.mark.parametrize(
+    "preset, changes, symbols",
+    [
+        (GENERALIZED, {"ic": {"v3_0": 0.0}}, ["v2_0", "dv2_0", "d2v2_0", "v1_0", "dv1_0"]),
+        (FIG4, {"ic": {"d2v2_0": 1.0}}, ["v2_0", "dv2_0"]),
+        (FIG4, {**OVERDAMPED, "run": DISCRETE, "ic": {"d2v2_0": 1.0}}, ["v2_0", "dv2_0"]),
+    ],
+    ids=["generalized", "analytic", "discrete_overdamped"],
+)
+def test_unknown_ic_symbol_names_the_filters_symbols(preset, changes, symbols):
+    """The run's filter, or the base LC model where a run builds none, owns the symbols."""
+    with pytest.raises(ConfigError) as err:
+        validate_config(_mutated(preset, changes))
+    assert err.value.field == f"ic.{next(iter(changes['ic']))}"
+    assert err.value.message == f"unknown initial-condition symbol; one of {symbols}"
+
+
+FAST = {"L": 10e-6, "C": 1e-6, "R_L": 10.0, "V1": 1.0}
+
+
+def test_spectrum_settle_guard_defaults_to_the_filters(tmp_path):
+    """On FAST (a*T = 0.05) a fixed 48-symbol guard left enough transient in
+    the cross-check window to miss the closed form by 16%; the filter's own
+    guard, as an accuracy run's, leaves the aliasing floor (0.4%)."""
+    cfg = _defaulted(SPECTRUM, "settle_symbols")
+    cfg["circuit"] = FAST
+    cfg["run"]["points"] = 64
+    assert validate_config(cfg)["run"]["settle_symbols"] == 277
+    run_scenario(cfg, tmp_path)
+    f, re, im, _ = _csv_columns(tmp_path / "spectrum_fft.csv")
+    p = CircuitParams(**FAST)
+    pat = encode(alternating_bits(64), ModulationConfig(Scheme.VPWM, 1e-6, 0.75, 0.025))
+    closed = np.abs(ripple_spectrum(p, derive_dynamics(p), pat, f).values)
+    lines = (f < 8e6) & (closed > 1e-3 * closed.max())
+    assert lines.sum() >= 8
+    assert np.max(np.abs(np.abs(re + 1j * im)[lines] / closed[lines] - 1.0)) < 0.01
+
+
 def _defaulted(preset, run_field):
     cfg = get_preset(preset)
     del cfg["run"][run_field]
     return cfg
 
 
-# every preset, and the two defaults a sidecar once could not hold: C_L = inf
-# (written as the non-JSON Infinity) and the circuit's settle guard (null)
+# every preset, the defaults a sidecar once could not hold: C_L = inf (written
+# as the non-JSON Infinity) and the circuit's settle guards (null), and the run
+# types and initial conditions no preset has
 RERUN = {name: {"name": name, **get_preset(name)} for name in list_presets()}
 RERUN["general_load_default_C_L"] = _mutated(GENERALIZED, {"run.topology": LOAD})
 RERUN["accuracy_default_settle_symbols"] = _defaulted(ACCURACY, "settle_symbols")
+RERUN["spectrum_default_settle_symbols"] = _defaulted(SPECTRUM, "settle_symbols")
+RERUN["generalized_nonzero_ic"] = _mutated(GENERALIZED, {"ic": {"v2_0": 0.5, "d2v2_0": 1e9}})
+DISCRETE_RUNS = {
+    "discrete_exact_ccm": {**DISCRETE, "variant": "exact", "mode": "ccm"},
+    "discrete_predictive_dcm": {**DISCRETE, "variant": "predictive", "mode": "dcm"},
+}
+RERUN.update(
+    {case: _mutated("fig3_components", {"run": run}) for case, run in DISCRETE_RUNS.items()}
+)
+
+
+def test_reruns_cover_every_run_type():
+    assert {cfg["run"]["type"] for cfg in RERUN.values()} == set(_RUN)
+
+
+@pytest.mark.parametrize("case", list(DISCRETE_RUNS))
+def test_discrete_run_writes_simulate(tmp_path, case):
+    run = DISCRETE_RUNS[case]
+    run_scenario(RERUN[case], tmp_path)
+    p = CircuitParams(**get_preset("fig3_components")["circuit"])
+    pat = encode([1, 0, 1, 0, 1], ModulationConfig(Scheme.VPWM, 1e-6, 0.75, 0.2))
+    variant, mode = Variant(run["variant"]), ConductionMode(run["mode"])
+    v2, _ = simulate(p, pat, InitialConditions(0.75), run["J"], variant, mode)
+    _, got = _csv_columns(tmp_path / "v2_discrete.csv")
+    assert np.array_equal(got, v2.samples)
 
 
 @pytest.mark.parametrize("case", list(RERUN))
