@@ -94,8 +94,13 @@ def _balanced_roots(den: np.ndarray) -> np.ndarray:
 
     SI-unit coefficients span tens of orders of magnitude, so the polynomial
     is evaluated in units of a Cauchy-style root-magnitude bound before the
-    eigenvalue solve.  ModelError when that scaling overflows, or when a root's
-    backward error |P(r)| / sum_k |P_k|*|r|^k exceeds 1e-8.
+    eigenvalue solve.  A root passes when its backward error
+    |P(r)| / sum_k |P_k|*|r|^k is at most 1e-8.  When some root fails but the
+    largest is real and passes (a negligible ESL puts it tens of decades above
+    the rest), den is divided by (s - r) from the constant term up,
+    Q_0 = -P_0/r and Q_k = (Q_{k-1} - P_k)/r, which is stable for a large |r|,
+    and the quotient is solved with its own scaling.  ModelError when a
+    scaling overflows, or when a root fails and cannot be deflated.
     """
     deg = len(den) - 1
     lead = abs(den[-1])
@@ -112,6 +117,15 @@ def _balanced_roots(den: np.ndarray) -> np.ndarray:
     residuals, sizes = np.abs(terms.sum(axis=1)), np.abs(terms).sum(axis=1)
     bad = residuals > 1e-8 * sizes
     if np.any(bad):
+        top = int(np.argmax(np.abs(roots)))
+        if not bad[top] and abs(roots[top].imag) <= 1e-9 * abs(roots[top]):
+            r = roots[top].real * sigma
+            quotient = np.empty(deg)
+            carry = 0.0
+            for k in range(deg):
+                carry = (carry - den[k]) / r
+                quotient[k] = carry
+            return np.append(_balanced_roots(quotient), r)
         worst = float(np.max(residuals[bad] / sizes[bad]))
         raise ModelError(
             f"denominator coefficients {den} give a root with backward error {worst:.3e}"
@@ -169,19 +183,36 @@ def _fold_conjugates(poles: np.ndarray, residues: np.ndarray) -> list[tuple[comp
     return [(p, 2.0 * r if p.imag > 0.0 else r) for p, r in pairs if p.imag >= 0.0]
 
 
-def _edge_states(pole: complex, times: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """S_e = sum_{m<=e} w_m * exp(pole*(tau_e - tau_m)) at every edge e.
+def _scan_passes(pole: complex | float, times: np.ndarray) -> int:
+    """Doubling passes _edge_states needs.  The pass at offset k runs while some
+    k-edge span is shorter than 41.5/a (a = -Re pole): edges further apart have
+    decayed below 1e-18 and add nothing in double precision.  That test only
+    turns false as k grows, so its exponent is bisected, starting at k = 1,
+    where a stiff pole stops, instead of tried before every pass."""
+    lo, hi, i = 0, (len(times) - 1).bit_length(), 0  # every k tried is below len(times)
+    while lo < hi:
+        k = 1 << i
+        if pole.real * np.min(times[k:] - times[:-k]) > -41.5:
+            lo = i + 1
+        else:
+            hi = i
+        i = (lo + hi) // 2
+    return lo
+
+
+def _edge_states(pole: complex | float, times: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S_e = sum_{m<=e} w_m * exp(pole*(tau_e - tau_m)) at every edge e, in
+    float64 for a float pole and in complex128 for a complex one.
 
     Hillis-Steele doubling scan: before the pass at offset k each state covers
-    its last k edges and decay[e] = exp(pole*(tau_{e+k} - tau_e)), which only
-    shrinks for a stable pole.  Once every k-edge span has decayed below 1e-18,
-    older edges add nothing in double precision and the scan stops, so long
+    its last k edges and decay[e] = exp(pole*(tau_{e+k} - tau_e)).  The scan
+    stops once older edges have decayed below 1e-18 (_scan_passes), so long
     patterns cost O(E) per pole.
     """
-    states = weights.astype(complex)
+    states = weights.astype(np.result_type(pole, weights))
     decay = np.exp(pole * np.diff(times))
     k = 1
-    while k < len(states) and pole.real * np.min(times[k:] - times[:-k]) > -41.5:
+    for _ in range(_scan_passes(pole, times)):
         states[k:] += decay * states[:-k]
         decay = decay[k:] * decay[:-k]
         k *= 2
@@ -194,13 +225,16 @@ def _modal_sum(pr: PoleResidue, edge_times, edge_weights, t) -> np.ndarray:
     The one evaluation engine behind every continuous-time output.  Edge
     times must be non-decreasing; t may be any array, in any order.  Each
     pole's state at every edge comes from one scan over the edges (the pole
-    at 0 is a plain running sum), and each t decays the state of its latest
-    edge, so exp(+a*tau) never appears.  Raises UnstablePoleError for a pole
+    at 0 is a plain running sum, a real pole runs in float64), and each t
+    decays the state of its latest edge, so exp(+a*tau) never appears.  A mode
+    whose residue is exactly 0 is skipped.  Raises UnstablePoleError for a pole
     with positive real part and ArithmeticError for a non-real expansion.
     """
     if np.any(pr.poles.real > 0.0):
         raise UnstablePoleError(f"pole with positive real part in {pr.poles}")
-    folded = _fold_conjugates(pr.poles, pr.residues)
+    folded = [(p, r) for p, r in _fold_conjugates(pr.poles, pr.residues) if r != 0.0]
+    if not folded:  # e.g. a transient from rest
+        return 0.0 if np.isscalar(t) else np.zeros(np.shape(t))
     t_arr = np.asarray(t, dtype=float).ravel()
     times = np.asarray(edge_times, dtype=float)
     # a weightless first edge no later than any t gives every t a latest edge
@@ -214,6 +248,8 @@ def _modal_sum(pr: PoleResidue, edge_times, edge_weights, t) -> np.ndarray:
         if pole == 0.0:
             out += (res.real * np.cumsum(weights))[latest]
             continue
+        if pole.imag == 0.0:  # a residue's imaginary part would reach only term.imag
+            pole, res = pole.real, res.real
         term = pole * lag  # updated in place: fresh N-sized buffers cost page faults
         np.exp(term, out=term)
         term *= (res * _edge_states(pole, times, weights))[latest]

@@ -416,10 +416,11 @@ def general_derivative_ics(p, gl, x0, v1_0=0.0, dv1_0=0.0):
     return {"v2_0": v2, "dv2_0": dv2}
 
 
-def rk4_general(p, gl, pat, x0, J: int):
+def rk4_general(p, gl, pat, x0, J: int, step: float = 0.1):
+    """RK4 with substeps of at most step / |fastest eigenvalue|."""
     A, B, c_row = general_state_space(p, gl)
     dt = pat.T / J
     t_grid = np.arange(pat.K * J) * dt
-    h = min(dt, 0.1 / np.abs(np.linalg.eigvals(A)).max())
+    h = min(dt, step / np.abs(np.linalg.eigvals(A)).max())
     states = integrate_lti(A, B, np.asarray(x0, float), input_levels(pat, p.V1), t_grid, h)
     return states @ c_row

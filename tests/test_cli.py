@@ -356,6 +356,18 @@ def test_generalized_run_starts_from_the_root_ic(tmp_path, case):
     assert np.array_equal(v2, expected.samples)
 
 
+def test_negligible_esl_runs_as_the_model_without_it(tmp_path):
+    """esl_C = 1e-70 H used to exit 1: the pole solve left the LC pair with
+    backward error 1.0.  Its output now matches the run without ESL."""
+    for name, esl_C in (("esl", 1e-70), ("none", 0.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_mutated(GENERALIZED, {"run.topology.esl_C": esl_C})))
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+    _, with_esl = _csv_columns(tmp_path / "esl" / "v2_generalized.csv")
+    _, without = _csv_columns(tmp_path / "none" / "v2_generalized.csv")
+    assert np.max(np.abs(with_esl - without)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "preset, changes, symbols",
     [

@@ -131,6 +131,22 @@ def test_stiff_esl_gives_true_poles_or_model_error(esr_C):
         assert_transfer_matches_state_space(model, SLOW, *parasitic_state_space(SLOW, q), d.poles)
 
 
+@pytest.mark.parametrize("esr_C", [0.0, 0.1])
+@pytest.mark.parametrize("esl_C", [1e-66, 1e-70, 1e-100])
+def test_negligible_esl_deflates_its_fast_root(esl_C, esr_C):
+    """A negligible ESL puts one real root tens of decades above the LC pair,
+    and the scaled solve leaves the pair with backward error 1.0.  With that
+    root deflated the pair is the one of the model without ESL, and the fast
+    pole is the deflated root -P_2/P_3."""
+    model = build_parasitic_model(SLOW, ParasiticParams(esr_C=esr_C, esl_C=esl_C))
+    poles = Dynamics.of(model).poles
+    pair = find_poles(build_parasitic_model(SLOW, ParasiticParams(esr_C=esr_C)))
+    fast = -model.den[2] / model.den[3]
+    assert poles[0].imag == 0.0
+    assert abs(poles[0] - fast) <= 1e-9 * abs(fast)
+    assert np.all(np.abs(poles[1:] - pair) <= 1e-9 * np.abs(pair))
+
+
 def test_round_trip_random_stable_quartics():
     rng = np.random.default_rng(31)
     done = 0
@@ -215,6 +231,74 @@ def test_inverse_laplace_textbook_pairs():
     pr2 = PoleResidue(poles=np.array([1j * b, -1j * b]), residues=np.array([0.5, 0.5]))
     assert np.allclose(_modal_sum(pr2, [0.0], [1.0], t), np.cos(b * t), rtol=0, atol=1e-12)
     assert _modal_sum(pr, [0.0], [1.0], -1.0) == 0.0
+
+
+def _dense_modal_sum(poles, residues, edge_times, edge_weights, t):
+    """sum over edges tau_e <= t of w_e * sum_p r_p * exp(p*(t - tau_e)), term by term."""
+    lag = t[:, None] - edge_times[None, :]
+    live = lag >= 0.0
+    lag = np.where(live, lag, 0.0)[..., None]
+    terms = live[..., None] * edge_weights[None, :, None] * residues * np.exp(poles * lag)
+    return terms.sum(axis=(1, 2)).real, np.abs(terms).max()
+
+
+def _random_modes(rng, count):
+    """Real poles, conjugate pairs and the pole at 0 (each a slow or a stiff
+    decay), about one in four with a residue of exactly 0."""
+    poles, residues = [], []
+    for _ in range(count):
+        kind = rng.integers(3)
+        stiff = rng.random() < 0.2
+        rate = 10.0 ** (rng.uniform(2.0, 4.0) if stiff else rng.uniform(-1.5, 1.0))
+        res = 0.0 if rng.random() < 0.25 else complex(rng.normal(), rng.normal())
+        if kind == 0:
+            poles.append(0.0)
+            residues.append(res.real)
+        elif kind == 1:
+            poles.append(-rate)
+            residues.append(res.real)
+        else:
+            p = complex(-rate, 10.0 ** rng.uniform(-1.0, 1.5))
+            poles += [p, p.conjugate()]
+            residues += [res, res.conjugate()]
+    return np.array(poles, dtype=complex), np.array(residues, dtype=complex)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_modal_sum_matches_a_dense_direct_sum(seed):
+    """Random mixes of real poles, conjugate pairs, the pole at 0 and exact-zero
+    residues, with edges on sample points, repeated edges and samples before
+    the first edge: the engine against the term-by-term sum to 1e-12 of its
+    largest term.  Dropping the zero-residue modes changes no bit."""
+    rng = np.random.default_rng(seed)
+    poles, residues = _random_modes(rng, int(rng.integers(1, 5)))
+    t = np.linspace(-1.0, 12.0, int(rng.integers(2, 200)))
+    E = int(rng.integers(1, 10_000 // (len(t) * len(poles)) + 1))
+    edges = np.concatenate([rng.uniform(0.0, 10.0, E - E // 3), rng.choice(t[t >= 0.0], E // 3)])
+    edges = np.sort(np.concatenate([edges, edges[: E // 5]]))[:E]
+    weights = rng.normal(size=E)
+    got = _modal_sum(PoleResidue(poles, residues), edges, weights, t)
+    want, largest = _dense_modal_sum(poles, residues, edges, weights, t)
+    assert np.all(np.abs(got - want) <= 1e-12 * largest)
+    nonzero = residues != 0.0
+    kept = PoleResidue(poles[nonzero], residues[nonzero])
+    assert np.array_equal(_modal_sum(kept, edges, weights, t), got)
+
+
+def test_transient_from_rest_is_exactly_zero():
+    """Every mode of a transient from rest has residue 0: zeros of t's shape,
+    and 0.0 for a scalar t, on the base filter and both extensions."""
+    t = np.linspace(0.0, 1e-4, 12).reshape(3, 4)
+    for d in (
+        derive_dynamics(SLOW),
+        Dynamics.of(build_parasitic_model(SLOW, ParasiticParams(esr_C=0.1, esl_C=10e-9))),
+        Dynamics.of(build_general_load_model(SLOW, GeneralLoad(R_L=20.0, L_L=1e-5, C_L=1e-5))),
+    ):
+        v = transient_component(d, {}, t)
+        assert v.shape == t.shape and not np.any(v)
+        scalar = transient_component(d, {}, 2e-5)
+        assert type(scalar) is float and scalar == 0.0
 
 
 def test_inverse_laplace_rejects_unstable_poles():
@@ -377,6 +461,43 @@ def test_general_load_simulation_matches_state_space_oracle():
     w = simulate_generalized(SLOW, gl, pat, ics, J)
     ref = rk4_general(SLOW, gl, pat, x0, J)
     assert np.abs(w.samples - ref).max() < 1e-3 * np.abs(ref).max()
+
+
+@settings(max_examples=25)
+@given(
+    log_R=st.floats(0.0, 2.5),
+    log_LL=st.floats(-7.0, -3.0),
+    log_CL=st.one_of(st.floats(-9.0, -4.0), st.just(math.inf)),
+    K=st.integers(1, 12),
+    J=st.sampled_from([16, 40, 64]),
+    vppm=st.booleans(),
+    from_rest=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_general_load_simulation_property_against_state_space_oracle(
+    log_R, log_LL, log_CL, K, J, vppm, from_rest, seed
+):
+    """Series R-L-C loads from R_L = 1 to 316 ohm, L_L = 0.1 uH to 1 mH and
+    C_L = 1 nF to 100 uF or a short: zero to four real poles (an overdamped
+    load has two), from rest or a random state, with abutting VPPM pulses and
+    edges on grid points, against event-aligned RK4."""
+    gl = GeneralLoad(R_L=10.0**log_R, L_L=10.0**log_LL, C_L=10.0**log_CL)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, K)
+    if vppm:
+        pat = encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+    else:
+        pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+    n_states = len(general_state_space(SLOW, gl)[1])
+    x0 = np.zeros(n_states) if from_rest else rng.uniform(-0.5, 0.5, n_states)
+    ics = general_derivative_ics(SLOW, gl, x0)
+    if len(build_general_load_model(SLOW, gl).num) < 3:  # Q = R_L + L_L*s takes no dv1_0
+        del ics["dv1_0"]
+    w = simulate_generalized(SLOW, gl, pat, ics, J)
+    # a fast lightly damped pair (R_L = 1 ohm, L_L = 1 uH: -5e5 +- 3.1e6j rad/s)
+    # leaves 1e-6 of RK4 error at the default 0.1/|eig| substep
+    ref = rk4_general(SLOW, gl, pat, x0, J, step=0.01)
+    assert np.abs(w.samples - ref).max() < 1e-6 * np.abs(ref).max()
 
 
 def test_generalized_unmodulated_settles_to_duty_level():
