@@ -113,11 +113,9 @@ def _frame_model(
     z is the all-zero-bits trajectory from the initial conditions, row k of Y
     the zero-state response to symbol k's one-minus-zero switching difference,
     row i of B the bits b_i that spell i in binary, first bit most significant,
-    and q_i = b_i^T G b_i with G = Y Y^T.  A symbol's response depends only on
-    its J difference samples and on whether it is symbol 0, so the kernel runs
-    once per distinct block and later symbols with that block take the run
-    truncated to their start.  Memoized per configuration; every array is
-    read-only.
+    and q_i = b_i^T G b_i with G = Y Y^T.  Each row of Y is one zero-state
+    kernel run over the whole frame, driven by symbol k's difference block
+    alone.  Memoized per configuration; every array is read-only.
     """
     dp = derive_params(p, J, cfg.T, variant)
     N = K * J
@@ -126,20 +124,10 @@ def _frame_model(
     _, z = _iterate(dp, p.V1, False, initial_inductor_current(p, ic), ic.v2_0, memoryview(s1_zero))
     diff = s1_one - s1_zero
     Y = np.zeros((K, N))
-    runs = {}
     for k in range(K):
-        # the response starts one sample before the symbol: the first update
-        # inside it already consumes s1[k*J]
-        n0 = max(k * J - 1, 0)
-        block = diff[k * J : (k + 1) * J]
-        # the first symbol with a block starts earliest, so its run is the
-        # longest, and a run's samples do not depend on how long it goes on
-        key = (k == 0, block.tobytes())
-        if key not in runs:
-            s1_k = np.zeros(N - n0)
-            s1_k[k * J - n0 : (k + 1) * J - n0] = block
-            runs[key] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
-        Y[k, n0:] = runs[key][: N - n0]
+        s1_k = np.zeros(N)
+        s1_k[k * J : (k + 1) * J] = diff[k * J : (k + 1) * J]
+        Y[k] = _iterate(dp, p.V1, False, 0.0, 0.0, memoryview(s1_k))[1]
     B = ((np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(float)
     # einsum rather than @ keeps detection off BLAS, whose first call maps
     # about 0.5 MB of work buffers into the process
@@ -183,9 +171,9 @@ def brute_force_detect(
     the discrete-model trajectory of every bit sequence; ties resolve to the
     lexicographically smallest sequence.  The observation must start at t = 0
     on the model's grid dt = T/J.  Limited to K <= 12.  The frame model (the
-    all-zero trajectory and the symbol responses, one kernel run per distinct
-    symbol block) is built once per (p, cfg, ic, J, K, variant) and memoized
-    read-only, so further frames on one configuration cost only the scoring.
+    all-zero trajectory and one zero-state response per symbol) is built once
+    per (p, cfg, ic, J, K, variant) and memoized read-only, so further frames
+    on one configuration cost only the scoring.
     """
     if K > 12:
         raise TooManyBitsError(f"exhaustive search over 2^{K} sequences refused (K <= 12)")
@@ -199,5 +187,6 @@ def brute_force_detect(
             f"observation grid (t0 = {r.t0!r}, dt = {r.dt!r}) is not the "
             f"detection grid (t0 = 0, dt = T/J = {cfg.T / J!r})"
         )
-    B = _frame_model(p, cfg, ic, int(J), int(K), variant)[2]
-    return B[np.argmin(_candidate_distances(r, p, cfg, ic, J, K, variant))].astype(int)
+    i = np.argmin(_candidate_distances(r, p, cfg, ic, J, K, variant))
+    # candidate i spells its bits in binary, first bit most significant
+    return (i >> np.arange(K - 1, -1, -1)) & 1

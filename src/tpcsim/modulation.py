@@ -1,20 +1,15 @@
 """Binary data to per-symbol pulse timings, and ideal switching-signal sampling.
 
-Both schemes place one pulse per symbol period T:
-
-* VPWM varies the pulse width around an average duty cycle delta, pulse
-  centered at T/2.
-* VPPM keeps the width at delta*T and shifts the pulse center by +/- depth
-  seconds around T/2.
-
-Pulse membership is half-open, [t_start, t_end), so each sample belongs to
-exactly one signal level even when it lands on an edge.
+Every scheme places one pulse per symbol period T; `encode` holds each
+scheme's rule for the pulse's duty cycle and center.  Pulse membership is
+half-open, [t_start, t_end), so each sample belongs to exactly one signal
+level even when it lands on an edge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -115,62 +110,49 @@ def alternating_bits(K: int) -> np.ndarray:
     return (1 - np.arange(K) % 2).astype(int)
 
 
-def encode_vpwm(bits, cfg: ModulationConfig) -> SwitchingPattern:
-    """Pulse-width keying: bit k maps to duty delta + (2*bits[k]-1)*depth.
+def encode(bits, cfg: ModulationConfig) -> SwitchingPattern:
+    """One pulse per symbol, of duty d_k centered at c_k, with s_k = 2*bits[k] - 1:
 
-    Pulses stay centered at T/2.  Raises DepthOutOfRangeError when a resulting
-    duty cycle leaves (0, 1).
+    * VPWM varies the width: d_k = delta + s_k*depth, c_k = T/2;
+    * VPPM shifts the pulse: d_k = delta, c_k = T/2 + s_k*depth (depth in seconds);
+    * UNMODULATED: d_k = delta, c_k = T/2 (the bits are checked, then ignored).
+
+    The pulse spans c_k -/+ d_k*T/2.  Raises DepthOutOfRangeError when a duty
+    leaves (0, 1) or a pulse leaves [0, T].
     """
+    s = 2 * _validated_bits(bits) - 1
+    half = 0.5 * cfg.T
+    duty = cfg.delta + s * cfg.depth if cfg.scheme is Scheme.VPWM else np.full(s.size, cfg.delta)
+    center = half + s * cfg.depth if cfg.scheme is Scheme.VPPM else np.full(s.size, half)
+    t_start = center - duty * half
+    t_end = center + duty * half
+    if s.size and not (
+        duty.min() > 0.0 and duty.max() < 1.0 and t_start.min() >= 0.0 and t_end.max() <= cfg.T
+    ):
+        raise DepthOutOfRangeError(
+            f"{cfg.scheme.value} depth {cfg.depth:.6g} at delta {cfg.delta:.6g} puts a duty "
+            f"outside (0, 1) or a pulse outside the symbol period [0, {cfg.T:.6g}] s"
+        )
+    return SwitchingPattern(T=cfg.T, t_start=t_start, t_end=t_end)
+
+
+def encode_vpwm(bits, cfg: ModulationConfig) -> SwitchingPattern:
+    """encode for a VPWM config: bit k maps to duty delta + (2*bits[k]-1)*depth."""
     if cfg.scheme is not Scheme.VPWM:
         raise ValueError(f"config scheme is {cfg.scheme}, expected VPWM")
-    arr = _validated_bits(bits)
-    duty = cfg.delta + (2 * arr - 1) * cfg.depth
-    if arr.size and not (np.all(duty > 0.0) and np.all(duty < 1.0)):
-        raise DepthOutOfRangeError(
-            f"duty cycles {cfg.delta} +/- {cfg.depth} leave the open interval (0, 1)"
-        )
-    half = 0.5 * cfg.T
-    t_start = half - duty * half
-    t_end = half + duty * half
-    return SwitchingPattern(T=cfg.T, t_start=t_start, t_end=t_end)
+    return encode(bits, cfg)
 
 
 def encode_vppm(bits, cfg: ModulationConfig) -> SwitchingPattern:
-    """Pulse-position keying: bit k shifts the pulse center to T/2 +/- depth.
-
-    The width stays at delta*T.  depth is in seconds here.  Raises
-    DepthOutOfRangeError when a shifted pulse leaves [0, T].
-    """
+    """encode for a VPPM config: bit k shifts the pulse center to T/2 +/- depth."""
     if cfg.scheme is not Scheme.VPPM:
         raise ValueError(f"config scheme is {cfg.scheme}, expected VPPM")
-    arr = _validated_bits(bits)
-    width = cfg.delta * cfg.T
-    center = cfg.T / 2.0 + (2 * arr - 1) * cfg.depth
-    t_start = center - width / 2.0
-    t_end = center + width / 2.0
-    if arr.size and not (np.all(t_start >= 0.0) and np.all(t_end <= cfg.T)):
-        raise DepthOutOfRangeError(
-            f"pulse of width {width:.6g} s shifted by +/-{cfg.depth:.6g} s "
-            f"leaves the symbol period [0, {cfg.T:.6g}] s"
-        )
-    return SwitchingPattern(T=cfg.T, t_start=t_start, t_end=t_end)
+    return encode(bits, cfg)
 
 
 def unmodulated_pattern(cfg: ModulationConfig, K: int) -> SwitchingPattern:
     """K identical centered pulses of width delta*T."""
-    half = 0.5 * cfg.T
-    t_start = np.full(K, half - cfg.delta * half)
-    t_end = np.full(K, half + cfg.delta * half)
-    return SwitchingPattern(T=cfg.T, t_start=t_start, t_end=t_end)
-
-
-def encode(bits, cfg: ModulationConfig) -> SwitchingPattern:
-    """Dispatch on cfg.scheme; UNMODULATED checks the bit values but ignores them."""
-    if cfg.scheme is Scheme.VPWM:
-        return encode_vpwm(bits, cfg)
-    if cfg.scheme is Scheme.VPPM:
-        return encode_vppm(bits, cfg)
-    return unmodulated_pattern(cfg, len(_validated_bits(bits)))
+    return encode(np.zeros(K, dtype=int), replace(cfg, scheme=Scheme.UNMODULATED))
 
 
 def sample_switching(pat: SwitchingPattern, dt: float, N: int) -> np.ndarray:

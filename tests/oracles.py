@@ -373,7 +373,11 @@ def general_state_space(p, gl):
 
 
 def general_derivative_ics(p, gl, x0, v1_0=0.0, dv1_0=0.0):
-    """Map a physical state to the derivative-style initial values."""
+    """Map a physical state to the derivative-style initial values.
+
+    Only the full series R-L-C load has Q of degree 2, so only it takes dv1_0;
+    the cubic loads take v1_0 alone, and the Ohmic load neither.
+    """
     L, C = p.L, p.C
     RL, LL, CL = gl.R_L, gl.L_L, gl.C_L
     x0 = list(x0)
@@ -401,7 +405,7 @@ def general_derivative_ics(p, gl, x0, v1_0=0.0, dv1_0=0.0):
         diL = (v1_0 - v2) / L
         dil = (v2 - RL * il) / LL
         d2v2 = (diL - dil) / C
-        return {"v2_0": v2, "dv2_0": dv2, "d2v2_0": d2v2, "v1_0": v1_0, "dv1_0": dv1_0}
+        return {"v2_0": v2, "dv2_0": dv2, "d2v2_0": d2v2, "v1_0": v1_0}
     if math.isfinite(CL):
         iL, v2, vcl = x0
         il = (v2 - vcl) / RL
@@ -410,7 +414,7 @@ def general_derivative_ics(p, gl, x0, v1_0=0.0, dv1_0=0.0):
         dvcl = il / CL
         dil = (dv2 - dvcl) / RL
         d2v2 = (diL - dil) / C
-        return {"v2_0": v2, "dv2_0": dv2, "d2v2_0": d2v2, "v1_0": v1_0, "dv1_0": dv1_0}
+        return {"v2_0": v2, "dv2_0": dv2, "d2v2_0": d2v2, "v1_0": v1_0}
     iL, v2 = x0
     dv2 = (iL - v2 / RL) / C
     return {"v2_0": v2, "dv2_0": dv2}

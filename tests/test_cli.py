@@ -14,6 +14,7 @@ from tpcsim.analytic import Waveform, sample_output
 from tpcsim.circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from tpcsim.cli import _RUN, _render, main, run_scenario, validate_config
 from tpcsim.discrete import ConductionMode, Variant, simulate
+from tpcsim.equalization import ObservationModel, brute_force_detect, observe
 from tpcsim.errors import ConfigError
 from tpcsim.laplace import ParasiticParams, build_parasitic_model
 from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode
@@ -286,6 +287,11 @@ REJECTED = [
     (SPECTRUM, {"run.f_max": 1.0}, "run.f_max", 2),
     (PARAMS, {"run.c_values": [1e-6, -1e-7]}, "run.c_values", 2),
     (PARAMS, {"run.c_values": [0.0]}, "run.c_values", 2),
+    # unsupported or missing root and run fields
+    (FIG4, {"schema_version": 2}, "schema_version", 2),
+    (ACCURACY, {"run.J_list": []}, "run.J_list", 2),
+    (FIG4, {"run": {"J": 100}}, "run.type", 2),
+    (FIG4, {"run": {"type": "generalized", "J": 8, "topology": {"esr_C": 0.1}}}, "run.topology.kind", 2),
     # config errors on an overdamped circuit come before the filter is built
     (EQUALIZE, {**OVERDAMPED, "run.sigma": -0.1}, "run.sigma", 2),
     (EQUALIZE, {**OVERDAMPED, "run.c_factor": 0.0}, "run.c_factor", 2),
@@ -311,6 +317,13 @@ def test_rejected_config_names_its_field(tmp_path, capsys, preset, changes, fiel
     path.write_text(json.dumps(_mutated(preset, changes)))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("[1]")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: <root>: config must be a JSON object" in capsys.readouterr().err
 
 
 def test_unstable_predictive_run_is_a_model_error(tmp_path, capsys):
@@ -427,6 +440,12 @@ DISCRETE_RUNS = {
 RERUN.update(
     {case: _mutated("fig3_components", {"run": run}) for case, run in DISCRETE_RUNS.items()}
 )
+# no preset modulates by pulse position
+VPPM = {"scheme": "vppm", "T": 1e-6, "delta": 0.5, "depth": 0.1e-6}
+RERUN["vppm_analytic"] = _mutated(
+    "fig3_components", {"modulation": VPPM, "bits": "10110010", "seed": 7, "run.J": 64}
+)
+RERUN["vppm_equalize"] = _mutated(EQUALIZE, {"modulation": VPPM, "run.J": 32})
 
 
 def test_reruns_cover_every_run_type():
@@ -443,6 +462,22 @@ def test_discrete_run_writes_simulate(tmp_path, case):
     v2, _ = simulate(p, pat, InitialConditions(0.75), run["J"], variant, mode)
     _, got = _csv_columns(tmp_path / "v2_discrete.csv")
     assert np.array_equal(got, v2.samples)
+
+
+def test_vppm_equalize_run_detects_as_brute_force_detect(tmp_path):
+    cfg = RERUN["vppm_equalize"]
+    run_scenario(cfg, tmp_path)
+    detection = json.loads((tmp_path / "detection.json").read_text())
+    p = CircuitParams(**cfg["circuit"])
+    mcfg = ModulationConfig(Scheme.VPPM, 1e-6, 0.5, 0.1e-6)
+    bits = [int(b) for b in cfg["bits"]]
+    ic = InitialConditions(0.5)  # steady: delta*V1
+    v2, _ = simulate(p, encode(bits, mcfg), ic, 32, Variant.EXACT)
+    r = observe(v2, ObservationModel(sigma=0.002, seed=7))
+    detected = brute_force_detect(r, p, mcfg, ic, 32, len(bits))
+    assert detection["bits_detected"] == detected.tolist()
+    assert detection["bits_true"] == bits
+    assert detection["bit_errors"] == 0
 
 
 @pytest.mark.parametrize("case", list(RERUN))

@@ -215,6 +215,13 @@ def test_simulate_initial_sample_carries_ics():
     assert len(v2) == 4 * 8 and v2.dt == pytest.approx(T / 8)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_simulate_of_an_empty_pattern_is_empty(variant):
+    v2, iL = simulate(FAST, fig3_pattern(0), InitialConditions(0.75, 0.0), 8, variant)
+    assert len(v2) == len(iL) == 0
+    assert v2.dt == iL.dt == pytest.approx(T / 8)
+
+
 def test_fig4_scenario_settled_mean():
     pat = encode_vpwm(
         alternating_bits(64), ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)

@@ -111,6 +111,14 @@ def test_find_poles_rejects_repeated_roots():
         find_poles(model)
 
 
+def test_find_poles_refuses_a_failing_root_it_cannot_deflate():
+    # the pair at -1e40*(1 +- j) leaves -1 +- 2j with backward error 1.0, and
+    # the largest root is complex, so it cannot be divided out
+    model = make_rational([-1 + 2j, -1 - 2j, -1e40 * (1 + 1j), -1e40 * (1 - 1j)])
+    with pytest.raises(ModelError, match="backward error"):
+        find_poles(model)
+
+
 @pytest.mark.parametrize("esr_C", [0.0, 0.1])
 def test_stiff_esl_gives_true_poles_or_model_error(esr_C):
     """Each root is judged on its own scale: on SLOW, esl_C from 1e-9 down to
@@ -491,12 +499,30 @@ def test_general_load_simulation_property_against_state_space_oracle(
     n_states = len(general_state_space(SLOW, gl)[1])
     x0 = np.zeros(n_states) if from_rest else rng.uniform(-0.5, 0.5, n_states)
     ics = general_derivative_ics(SLOW, gl, x0)
-    if len(build_general_load_model(SLOW, gl).num) < 3:  # Q = R_L + L_L*s takes no dv1_0
-        del ics["dv1_0"]
     w = simulate_generalized(SLOW, gl, pat, ics, J)
     # a fast lightly damped pair (R_L = 1 ohm, L_L = 1 uH: -5e5 +- 3.1e6j rad/s)
     # leaves 1e-6 of RK4 error at the default 0.1/|eig| substep
     ref = rk4_general(SLOW, gl, pat, x0, J, step=0.01)
+    assert np.abs(w.samples - ref).max() < 1e-6 * np.abs(ref).max()
+
+
+LOAD_SHAPES = {
+    "ohmic": GeneralLoad(R_L=20.0),
+    "short_with_inductor": GeneralLoad(R_L=20.0, L_L=1e-5),
+    "series_rc": GeneralLoad(R_L=20.0, C_L=1e-5),
+    "series_rlc": GeneralLoad(R_L=20.0, L_L=1e-5, C_L=1e-5),
+}
+
+
+@pytest.mark.parametrize("shape", list(LOAD_SHAPES))
+def test_general_derivative_ics_are_the_models_symbols(shape):
+    """The oracle's initial values name only symbols the load's model takes,
+    and they start the closed form where event-aligned RK4 starts."""
+    gl = LOAD_SHAPES[shape]
+    x0 = np.linspace(0.3, -0.2, len(general_state_space(SLOW, gl)[1]))
+    ics = general_derivative_ics(SLOW, gl, x0)
+    w = simulate_generalized(SLOW, gl, pattern(K=16), ics, 16)
+    ref = rk4_general(SLOW, gl, pattern(K=16), x0, 16, step=0.01)
     assert np.abs(w.samples - ref).max() < 1e-6 * np.abs(ref).max()
 
 

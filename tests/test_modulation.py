@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import switch_level
 from tpcsim.errors import DepthOutOfRangeError
@@ -201,3 +203,80 @@ def test_encode_rejects_bits_that_are_not_whole():
             got = encode(bits, cfg)
             assert np.array_equal(got.t_start, want.t_start)
             assert np.array_equal(got.t_end, want.t_end)
+
+
+def _pulse(scheme, T, delta, depth, bit):
+    """Exact edges of one symbol's pulse: duty d and center c, spanning c -/+ d*T/2."""
+    T, delta, depth = Fraction(T), Fraction(delta), Fraction(depth)
+    s = 2 * int(bit) - 1
+    d = delta + s * depth if scheme is Scheme.VPWM else delta
+    c = T / 2 + s * depth if scheme is Scheme.VPPM else T / 2
+    return c - d * T / 2, c + d * T / 2
+
+
+@settings(max_examples=300)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    log_T=st.floats(-9.0, 0.0),
+    delta=st.floats(0.01, 0.99),
+    reach=st.floats(0.0, 0.999),
+    bits=st.lists(st.integers(0, 1), max_size=24),
+)
+def test_encode_is_the_duty_and_center_rule_of_each_scheme(scheme, log_T, delta, reach, bits):
+    """Every edge within 4 ulp of T of its scheme's rule; the scheme-named
+    encoders are encode on their own scheme and refuse the others."""
+    T = 10.0**log_T
+    # the largest depth that keeps every duty in (0, 1) and every pulse in [0, T]
+    limit = (1 - delta) * T / 2 if scheme is Scheme.VPPM else min(delta, 1 - delta)
+    cfg = ModulationConfig(scheme, T, delta, reach * limit)
+    pat = encode(bits, cfg)
+    tol = 4 * Fraction(float(np.spacing(T)))
+    for k, bit in enumerate(bits):
+        start, end = _pulse(scheme, T, delta, cfg.depth, bit)
+        assert abs(Fraction(float(pat.t_start[k])) - start) <= tol
+        assert abs(Fraction(float(pat.t_end[k])) - end) <= tol
+    for named, own in ((encode_vpwm, Scheme.VPWM), (encode_vppm, Scheme.VPPM)):
+        if scheme is own:
+            got = named(bits, cfg)
+            assert np.array_equal(got.t_start, pat.t_start)
+            assert np.array_equal(got.t_end, pat.t_end)
+        else:
+            with pytest.raises(ValueError, match="expected"):
+                named(bits, cfg)
+    if scheme is Scheme.UNMODULATED:
+        ref = unmodulated_pattern(cfg, len(bits))
+        assert np.array_equal(ref.t_start, pat.t_start)
+        assert np.array_equal(ref.t_end, pat.t_end)
+
+
+def test_vpwm_duty_of_exactly_one_or_zero_is_refused():
+    assert 0.75 + 0.25 == 1.0 and 0.25 - 0.25 == 0.0
+    with pytest.raises(DepthOutOfRangeError):
+        encode([1], vpwm(delta=0.75, depth=0.25))
+    with pytest.raises(DepthOutOfRangeError):
+        encode([0], vpwm(delta=0.25, depth=0.25))
+    # the other bit's duty is inside
+    assert encode([0], vpwm(delta=0.75, depth=0.25)).widths[0] == pytest.approx(0.5e-6)
+
+
+@settings(max_examples=100)
+@given(log_T=st.floats(-9.0, 0.0))
+def test_vppm_pulse_touching_the_symbol_bounds_is_accepted(log_T):
+    T = 10.0**log_T
+    pat = encode([0, 1], vppm(T=T, delta=0.5, depth=0.25 * T))
+    assert pat.t_start[0] == 0.0 and pat.t_end[1] == T
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("T", [1e-6, 3.3e-7, 1.0])
+def test_depth_just_beyond_a_boundary_is_refused(T, bit):
+    beyond = 1 + 1e-9
+    # bit 1 widens VPWM's duty past 1 at delta 0.75, bit 0 narrows it below 0 at 0.25
+    with pytest.raises(DepthOutOfRangeError):
+        encode([bit], vpwm(T=T, delta=0.75 if bit else 0.25, depth=0.25 * beyond))
+    # bit 0 shifts the VPPM pulse before 0, bit 1 past T
+    with pytest.raises(DepthOutOfRangeError):
+        encode([bit], vppm(T=T, delta=0.5, depth=0.25 * T * beyond))
+    inside = 1 - 1e-9
+    encode([bit], vpwm(T=T, delta=0.75 if bit else 0.25, depth=0.25 * inside))
+    encode([bit], vppm(T=T, delta=0.5, depth=0.25 * T * inside))
