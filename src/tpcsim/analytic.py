@@ -10,8 +10,8 @@ A generic convolution path handles arbitrary (e.g. finite-slope) input
 waveforms through the impulse response.
 
 Each component puts a circuit.Dynamics (a transfer model at its poles: the
-base filter's at -a +/- jb, or a laplace-module circuit extension's) through
-the engine in the modal module.
+base filter's, in any damping regime, or a laplace-module circuit
+extension's) through the engine in the modal module.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def transient_component(d: Dynamics, ic: InitialConditions | Mapping[str, float]
     """Initial-condition response; identically zero when every initial value is zero.
 
     ic is InitialConditions or a mapping of the model's initial-condition
-    symbols.  On the base filter it is
+    symbols.  On an underdamped base filter it is
     exp(-a*t) * (v2_0*cos(b*t) + (a*v2_0 + dv2_0)/b * sin(b*t)) for t >= 0.
     """
     values = {"v2_0": ic.v2_0, "dv2_0": ic.dv2_0} if isinstance(ic, InitialConditions) else ic
@@ -65,7 +65,7 @@ def transient_component(d: Dynamics, ic: InitialConditions | Mapping[str, float]
 
 
 def unit_step_component(d: Dynamics, t):
-    """Normalized step response u(t) = 1 - exp(-a*t)*(cos(b*t) + (a/b)*sin(b*t)), t >= 0."""
+    """Normalized step response, 1 - exp(-a*t)*(cos(b*t) + (a/b)*sin(b*t)) if underdamped."""
     return _modal_sum(step_expansion(d.model, d.poles, 1.0), [0.0], [1.0], t)
 
 

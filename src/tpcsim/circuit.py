@@ -1,9 +1,9 @@
 """Physical converter parameters and the quantities derived from them.
 
-The buck converter's LC lowpass with Ohmic load is a second-order system.  With
-a = 1/(2*C*R_L) and b = sqrt(1/(L*C) - a^2) its poles are the conjugate pair
--a +/- jb, valid whenever R_L > 0.5*sqrt(L/C) (underdamped operation).  Its
-transfer function is written once, in _lc_model, as a degree-2 rational model.
+The buck converter's LC lowpass with Ohmic load is the second-order system
+H(s) = w0^2/(w0^2 + 2a*s + s^2), w0^2 = 1/(L*C) and a = 1/(2*C*R_L), written
+once, in _lc_model.  Its poles are a conjugate pair -a +/- jb above the
+damping boundary R_L = 0.5*sqrt(L/C) (underdamped) and real at or below it.
 """
 
 from __future__ import annotations
@@ -13,19 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OverdampedError
-from .modal import RationalLaplace, _modal_sum, _readonly, expand_strictly_proper
+from .errors import ConfigError
+from .modal import RationalLaplace, _distinct, _modal_sum, _readonly, expand_strictly_proper
 from .modal import find_poles, transfer_at
-
-
-def _lc_model(c0: float, c1: float, c2: float) -> RationalLaplace:
-    """H(s) = c0 / (c0 + c1*s + c2*s^2), the LC lowpass with Ohmic load.
-
-    The circuit values give (1, L/R_L, L*C), so H(0) is exactly 1, and the
-    poles -a +/- jb give (a^2 + b^2, 2a, 1), whose den' = 2a + 2s has no real
-    part at the poles, so the impulse response starts at exactly 0."""
-    den = np.array([c0, c1, c2])
-    return RationalLaplace(num=den[:1], den=den)
 
 
 @dataclass(frozen=True)
@@ -48,17 +38,24 @@ class CircuitParams:
                 raise ConfigError(name, f"must be finite and > 0, got {value!r}")
 
     def damping_boundary(self) -> float:
-        """Load resistance below which the pole pair stops being complex."""
+        """Load resistance at and below which the poles are real."""
         return 0.5 * math.sqrt(self.L / self.C)
 
-    def underdamped_valid(self) -> bool:
-        return self.R_L > self.damping_boundary()
+
+def _lc_model(p: CircuitParams) -> RationalLaplace:
+    """H(s) = w0^2 / (w0^2 + 2a*s + s^2), the LC lowpass with Ohmic load.
+
+    H(0) is exactly 1, and at the pair c +/- jb (c = -a, from den[1]) the
+    derivative den' = 2a + 2s is exactly +/-2jb, so the impulse response
+    starts at exactly 0."""
+    den = np.array([1.0 / (p.L * p.C), 1.0 / (p.C * p.R_L), 1.0])
+    return RationalLaplace(num=den[:1], den=den)
 
 
 @dataclass(frozen=True)
 class Dynamics:
     """A filter's transfer model at its poles: a is the slowest decay -max Re p
-    and b the fastest ringing max |Im p|, so the base filter's poles are -a +/- jb."""
+    and b the fastest ringing max |Im p| (0 when every pole is real)."""
 
     model: RationalLaplace
     poles: np.ndarray
@@ -94,35 +91,33 @@ class InitialConditions:
 
 
 def derive_dynamics(p: CircuitParams) -> Dynamics:
-    """Damping/ringing constants of the underdamped filter.
-
-    Raises OverdampedError when R_L <= 0.5*sqrt(L/C): the closed forms in this
-    package assume a distinct complex-conjugate pole pair, and the repeated- or
-    real-pole regimes are intentionally rejected.
-    """
-    if not p.underdamped_valid():
-        raise OverdampedError(
-            f"R_L = {p.R_L} ohm is not above the damping boundary "
-            f"{p.damping_boundary():.6g} ohm (overdamped or critically damped)"
-        )
-    a = 1.0 / (2.0 * p.C * p.R_L)
-    b = math.sqrt(1.0 / (p.L * p.C) - a * a)
-    return Dynamics(_lc_model(a * a + b * b, 2.0 * a, 1.0), [complex(-a, b), complex(-a, -b)])
+    """The base filter at the roots c +/- sqrt(d2) of _lc_model's denominator,
+    c = -a and d2 = c^2 - w0^2: the pair c +/- j*sqrt(-d2) when d2 < 0, else
+    fast = c - sqrt(d2) and slow = w0^2/fast, a product that does not cancel
+    as c + sqrt(d2) does (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 1.8).  RepeatedPolesError for a real pair that
+    _distinct rejects, within about 1.3e-13 of the damping boundary."""
+    model = _lc_model(p)
+    w0_sq, c = model.den[0], -0.5 * model.den[1]
+    d2 = c * c - w0_sq
+    if d2 < 0.0:
+        b = math.sqrt(-d2)
+        return Dynamics(model, [complex(c, b), complex(c, -b)])
+    fast = c - math.sqrt(d2)
+    return Dynamics(model, _distinct(np.array([fast, w0_sq / fast], dtype=complex)))
 
 
 def frequency_response(p: CircuitParams, f):
-    """Complex gain H(j*2*pi*f) of the filter, from the circuit values, so it
-    also covers overdamped circuits.
+    """Complex gain H(j*2*pi*f) of the filter.
 
     Accepts a scalar or an array of frequencies in Hz.
     """
-    model = _lc_model(1.0, p.L / p.R_L, p.L * p.C)
-    h = transfer_at(model, 2j * np.pi * np.asarray(f, dtype=float))
+    h = transfer_at(_lc_model(p), 2j * np.pi * np.asarray(f, dtype=float))
     return complex(h) if np.isscalar(f) else h
 
 
 def impulse_response(d: Dynamics, t):
-    """h_i(t) = exp(-a*t) * sin(b*t) / (L*C*b) for t >= 0, zero before."""
+    """h_i(t), 0 before t = 0; exp(-a*t) * sin(b*t) / (L*C*b) if underdamped."""
     return _modal_sum(expand_strictly_proper(d.model.num, d.model.den, d.poles), [0.0], [1.0], t)
 
 

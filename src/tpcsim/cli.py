@@ -5,7 +5,7 @@ JSON sidecar (<file>.meta.json) holding the fully resolved configuration, so a
 result can always be regenerated.  Numeric output uses 17 significant digits
 (full round-trip precision) and files are written atomically.
 
-Exit codes: 0 success, 1 model error (e.g. overdamped circuit), 2 config error.
+Exit codes: 0 success, 1 model error (e.g. a critically damped circuit), 2 config error.
 """
 
 from __future__ import annotations
@@ -290,8 +290,9 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
         # one base filter per run, built once the checks that do not need it passed
         built.d = derive_dynamics(p)
     # the run's filter names the initial-condition symbols; discrete and params
-    # runs accept overdamped circuits and build none, so the base LC model does
-    model = built.d.model if hasattr(built, "d") else _lc_model(1.0, p.L / p.R_L, p.L * p.C)
+    # runs need no poles and build none, so a critically damped circuit runs
+    # there too, and the base LC model names them
+    model = built.d.model if hasattr(built, "d") else _lc_model(p)
     _checked("ic", ic_numerator, model, built.ic)
     if run["type"] == "accuracy":
         # the accuracy module owns the settling guard and its default, which
@@ -310,8 +311,8 @@ def validate_config(raw: dict) -> dict:
     """Check a scenario dict and return its fully resolved form.
 
     Raises ConfigError naming the offending field on the first problem found,
-    and ModelError when the run's filter cannot be built (an overdamped
-    circuit where a run needs the complex-pole model).
+    and ModelError when the run's filter cannot be built (e.g. RepeatedPolesError
+    for a critically damped circuit on a run that needs its poles).
     """
     return _resolve(raw)[0]
 

@@ -5,10 +5,6 @@ class ModelError(Exception):
     """Base class for physical/numerical model violations (CLI exit code 1)."""
 
 
-class OverdampedError(ModelError):
-    """Load resistance at or below 0.5*sqrt(L/C); the complex-pole model does not apply."""
-
-
 class DepthOutOfRangeError(ModelError):
     """Modulation depth pushes a pulse outside its symbol period or duty outside (0, 1)."""
 

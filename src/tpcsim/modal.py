@@ -139,12 +139,17 @@ def find_poles(r: RationalLaplace) -> np.ndarray:
     Each root is judged on its own magnitude: one within 1e-9*|r| of the real
     axis is snapped to it, and complex pairs come out of the real companion
     matrix's eigenvalue solve (LAPACK dgeev) as exact conjugates.  Raises
-    RepeatedPolesError when two roots differ by less than 1e-6 of the larger
-    one's magnitude; the distinct-pole expansion below would be ill-defined.
+    RepeatedPolesError for roots _distinct rejects.
     """
     roots = _balanced_roots(r.den)
     roots = np.where(np.abs(roots.imag) <= 1e-9 * np.abs(roots), roots.real + 0j, roots)
     poles = np.array(sorted(roots.tolist(), key=lambda z: (z.real, z.imag)), dtype=complex)
+    return _distinct(poles)
+
+
+def _distinct(poles: np.ndarray) -> np.ndarray:
+    """poles, unless two differ by less than 1e-6 of the larger one's magnitude
+    (RepeatedPolesError): the distinct-pole expansion would be ill-defined."""
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             if abs(poles[i] - poles[j]) < 1e-6 * max(abs(poles[i]), abs(poles[j])):

@@ -118,22 +118,23 @@ def encode(bits, cfg: ModulationConfig) -> SwitchingPattern:
     * UNMODULATED: d_k = delta, c_k = T/2 (the bits are checked, then ignored).
 
     The pulse spans c_k -/+ d_k*T/2.  Raises DepthOutOfRangeError when a duty
-    leaves (0, 1) or a pulse leaves [0, T].
+    leaves (0, 1) or a pulse leaves [0, T]: the pattern's range rule refuses
+    every such pulse but one of duty 1, which encode refuses itself.
     """
     s = 2 * _validated_bits(bits) - 1
     half = 0.5 * cfg.T
     duty = cfg.delta + s * cfg.depth if cfg.scheme is Scheme.VPWM else np.full(s.size, cfg.delta)
     center = half + s * cfg.depth if cfg.scheme is Scheme.VPPM else np.full(s.size, half)
-    t_start = center - duty * half
-    t_end = center + duty * half
-    if s.size and not (
-        duty.min() > 0.0 and duty.max() < 1.0 and t_start.min() >= 0.0 and t_end.max() <= cfg.T
-    ):
+    try:
+        pat = SwitchingPattern(T=cfg.T, t_start=center - duty * half, t_end=center + duty * half)
+    except ValueError:
+        pat = None
+    if pat is None or (s.size and duty.max() >= 1.0):
         raise DepthOutOfRangeError(
             f"{cfg.scheme.value} depth {cfg.depth:.6g} at delta {cfg.delta:.6g} puts a duty "
             f"outside (0, 1) or a pulse outside the symbol period [0, {cfg.T:.6g}] s"
         )
-    return SwitchingPattern(T=cfg.T, t_start=t_start, t_end=t_end)
+    return pat
 
 
 def encode_vpwm(bits, cfg: ModulationConfig) -> SwitchingPattern:

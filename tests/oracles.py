@@ -16,6 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -173,6 +174,39 @@ def edge_step_sum(p, pat, V1: float, t) -> np.ndarray:
         total += step(t - k * pat.T - pat.t_start[k])
         total -= step(t - k * pat.T - pat.t_end[k])
     return V1 * total
+
+
+def lc_responses(den, v2_0: float, dv2_0: float, t) -> dict:
+    """Unit step, zero-input transient and impulse response of the base filter
+    w0^2/(w0^2 + 2a*s + s^2), den = (w0^2, 2a, 1), at each t >= 0, in 50-digit
+    arithmetic: name -> (values, scale), scale the sum of |coefficients| of
+    the response's terms.
+
+    With c = -a, d2 = c^2 - w0^2, d = sqrt(d2), E = exp(c*t), Ch = cosh(d*t) and
+    Sh = sinh(d*t)/d, each response is r0 + E*(A*Ch + B*Sh): the step
+    1 - E*(Ch - c*Sh), the transient E*(v2_0*Ch + (dv2_0 - c*v2_0)*Sh) and the
+    impulse w0^2*E*Sh.  Ch and Sh are entire in d2, so one formula covers a
+    complex pair (d2 < 0), real poles (d2 > 0) and d2 = 0 (Sh = t).  Its terms
+    are r0 and exp((c +/- d)*t) times A/2 +/- B/(2d); the scale is infinite at
+    d2 = 0.  The floats den, v2_0 and dv2_0 are taken exactly.
+    """
+    with mpmath.workdps(50):
+        w0_sq, c = mpmath.mpf(float(den[0])), -mpmath.mpf(float(den[1])) / 2
+        d = mpmath.sqrt(mpmath.mpc(c * c - w0_sq))
+        v0, dv0 = mpmath.mpf(v2_0), mpmath.mpf(dv2_0)
+        forms = {"step": (1, -1, c), "transient": (0, v0, dv0 - c * v0), "impulse": (0, 0, w0_sq)}
+        cols = []
+        for ti in np.asarray(t, dtype=float).tolist():
+            ti = mpmath.mpf(ti)
+            sh = ti if d == 0 else mpmath.sinh(d * ti) / d
+            cols.append((mpmath.exp(c * ti), mpmath.cosh(d * ti), sh))
+        out = {}
+        for name, (r0, A, B) in forms.items():
+            values = [float(mpmath.re(r0 + e * (A * ch + B * sh))) for e, ch, sh in cols]
+            half = mpmath.inf if d == 0 else B / (2 * d)
+            scale = abs(r0) + abs(mpmath.mpf(A) / 2 + half) + abs(mpmath.mpf(A) / 2 - half)
+            out[name] = (np.array(values), float(scale))
+    return out
 
 
 def edge_phasor_sum(pat, V1: float, f) -> np.ndarray:

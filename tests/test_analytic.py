@@ -1,17 +1,19 @@
 """Tests for the continuous-time output-voltage model."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_step_sum, rk4_buck
+from oracles import edge_step_sum, lc_responses, rk4_buck
 from tpcsim.analytic import (
     Waveform,
     convolve_end_to_end,
@@ -26,10 +28,11 @@ from tpcsim.circuit import (
     CircuitParams,
     Dynamics,
     InitialConditions,
+    _lc_model,
     derive_dynamics,
     impulse_response,
 )
-from tpcsim.errors import ResolutionTooCoarseError
+from tpcsim.errors import RepeatedPolesError, ResolutionTooCoarseError
 from tpcsim.laplace import ParasiticParams, build_parasitic_model
 from tpcsim.modal import expand_strictly_proper, ic_numerator, step_expansion
 from tpcsim.modulation import (
@@ -76,7 +79,7 @@ def test_responses_at_origin_on_random_circuits(log_L, log_C, log_R, v2_0, dv2_0
     """At t = 0 the step response is 0 and the transient v2_0, each up to
     4 ulp of its residues' size; the impulse response is exactly 0."""
     p = CircuitParams(L=10.0**log_L, C=10.0**log_C, R_L=10.0**log_R)
-    assume(p.underdamped_valid())
+    assume(p.R_L > p.damping_boundary())  # a real pair's c - r rounds, so h(0) is not exactly 0
     d = derive_dynamics(p)
     eps = np.finfo(float).eps
     step = step_expansion(d.model, d.poles, 1.0).residues
@@ -85,6 +88,64 @@ def test_responses_at_origin_on_random_circuits(log_L, log_C, log_R, v2_0, dv2_0
     ic_res = expand_strictly_proper(ic_numerator(d.model, ics), d.model.den, d.poles).residues
     assert abs(transient_component(d, ics, 0.0) - v2_0) <= 4 * eps * np.abs(ic_res).sum()
     assert impulse_response(d, 0.0) == 0.0
+
+
+# R_L over the damping boundary: 1 -/+ 10^u for u in [-14, -2], and heavy loads
+NEAR_BOUNDARY = st.builds(
+    lambda sign, u: 1.0 + sign * 10.0**u, st.sampled_from([-1.0, 1.0]), st.floats(-14.0, -2.0)
+)
+HEAVY_LOAD = st.floats(-4.0, math.log10(0.5)).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=200)
+@given(
+    slow=st.booleans(),
+    ratio=NEAR_BOUNDARY | st.just(1.0) | HEAVY_LOAD,
+    v2_0=st.floats(-1.0, 1.0, allow_subnormal=False),
+    dv2_0_over_w0=st.floats(-1.0, 1.0, allow_subnormal=False),
+)
+def test_base_filter_in_every_damping_regime(slow, ratio, v2_0, dv2_0_over_w0):
+    """Unit step, transient and impulse response of FAST's and SLOW's L and C
+    at R_L = ratio * damping boundary, against the 50-digit closed form in
+    (c, d2) of the model's coefficients.  Tolerances, fixed in advance, on each
+    response's scale s (its terms' summed |coefficients|): 2e-15*s for a
+    complex pair, 10*eps*(1 + |fast|/(slow - fast))*s for real poles.
+    RepeatedPolesError exactly when the exact real pair is closer than
+    1e-6*|fast|; within 1e-6 of that threshold, or within 4 ulp of c^2 of
+    d2 = 0, rounding may decide either way."""
+    base = SLOW if slow else FAST
+    p = CircuitParams(L=base.L, C=base.C, R_L=base.damping_boundary() * ratio)
+    den = _lc_model(p).den
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        c = -mpmath.mpf(float(den[1])) / 2
+        d2 = c * c - mpmath.mpf(float(den[0]))
+        fast, slow_pole = c - mpmath.sqrt(abs(d2)), c + mpmath.sqrt(abs(d2))  # poles if d2 > 0
+        gap = float((slow_pole - fast) / abs(fast)) / 1e-6
+        real, pair = d2 > 0, d2 < -4 * eps * c * c
+        tol_real = 10 * eps * float(1 + abs(fast) / (slow_pole - fast)) if real else 0.0
+    must_raise = real and gap < 1.0 - 1e-6
+    may_raise = not pair and not (real and gap > 1.0 + 1e-6)
+    try:
+        d = derive_dynamics(p)
+    except RepeatedPolesError:
+        assert may_raise
+        return
+    assert not must_raise
+
+    w0 = math.sqrt(den[0])
+    decay = -float(slow_pole) if real else -float(c)
+    t = np.concatenate([[0.0], np.geomspace(1e-3 / float(max(abs(fast), w0)), 40.0 / decay, 40)])
+    ic = InitialConditions(v2_0, dv2_0_over_w0 * w0)
+    want = lc_responses(den, ic.v2_0, ic.dv2_0, t)
+    got = {
+        "step": unit_step_component(d, t),
+        "transient": transient_component(d, ic, t),
+        "impulse": impulse_response(d, t),
+    }
+    tol = 2e-15 if d.b > 0.0 else tol_real
+    for name, (values, scale) in want.items():
+        assert np.abs(got[name] - values).max() <= tol * scale, name
 
 
 def test_transient_envelope_bound():

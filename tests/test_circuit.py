@@ -17,7 +17,7 @@ from tpcsim.circuit import (
     impulse_response,
     initial_inductor_current,
 )
-from tpcsim.errors import OverdampedError
+from tpcsim.errors import RepeatedPolesError
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
@@ -50,13 +50,19 @@ def test_derive_dynamics_is_the_closed_form_bitwise(L, C, over_boundary):
     assert bits == [((-a).hex(), b.hex()), ((-a).hex(), (-b).hex())]
 
 
-def test_derive_dynamics_rejects_boundary_and_below():
+def test_derive_dynamics_rejects_only_the_critical_band():
+    """At and below the damping boundary the poles are real, fast*slow = w0^2;
+    RepeatedPolesError only where they are closer than 1e-6*|fast|, for R_L
+    within about 1.3e-13 of the boundary."""
     L, C = 10e-6, 1e-6
     boundary = 0.5 * math.sqrt(L / C)
-    with pytest.raises(OverdampedError):
-        derive_dynamics(CircuitParams(L=L, C=C, R_L=boundary))
-    with pytest.raises(OverdampedError):
-        derive_dynamics(CircuitParams(L=L, C=C, R_L=0.5 * boundary))
+    for ratio in (1.0, 1.0 - 2e-14, 1.0 - 1.2e-13):
+        with pytest.raises(RepeatedPolesError):
+            derive_dynamics(CircuitParams(L=L, C=C, R_L=boundary * ratio))
+    for ratio in (1.0 - 1.4e-13, 0.5, 1e-4):
+        fast, slow = derive_dynamics(CircuitParams(L=L, C=C, R_L=boundary * ratio)).poles
+        assert fast.imag == slow.imag == 0.0 and fast.real < slow.real < 0.0
+        assert fast.real * slow.real == pytest.approx(1.0 / (L * C), rel=1e-15)
 
 
 def test_slow_circuit_is_underdamped():

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: validation, outputs, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -88,10 +89,16 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
 
     overdamped = fig4_config()
-    overdamped["circuit"]["R_L"] = 1.0  # below the damping boundary
+    overdamped["circuit"]["R_L"] = 1.0  # below the damping boundary: two real poles
     od = tmp_path / "overdamped.json"
     od.write_text(json.dumps(overdamped))
-    assert main(["run", str(od), "--out", str(tmp_path / "o2")]) == 1
+    assert main(["run", str(od), "--out", str(tmp_path / "o2")]) == 0
+    critical = fig4_config()  # poles closer than 1e-6 of their magnitude
+    boundary = CircuitParams(**critical["circuit"]).damping_boundary()
+    critical["circuit"]["R_L"] = boundary * (1 - 2e-14)
+    cd = tmp_path / "critical.json"
+    cd.write_text(json.dumps(critical))
+    assert main(["run", str(cd), "--out", str(tmp_path / "o5")]) == 1
 
     notjson = tmp_path / "broken.json"
     notjson.write_text("{nope")
@@ -215,6 +222,8 @@ FIG6 = "fig6_bias"
 DISCRETE = {"type": "discrete", "J": 10}
 LOAD = {"kind": "general_load"}
 OVERDAMPED = {"circuit.R_L": 0.5}  # below the damping boundary of every preset circuit
+# within 1.3e-13 of the damping boundary of L = 10 uH, C = 1 uF: repeated poles
+CRITICAL = {"circuit.R_L": 0.5 * math.sqrt(10.0) * (1 - 2e-14)}
 
 # (preset, changes, field named in the error, exit code)
 REJECTED = [
@@ -292,7 +301,10 @@ REJECTED = [
     (ACCURACY, {"run.J_list": []}, "run.J_list", 2),
     (FIG4, {"run": {"J": 100}}, "run.type", 2),
     (FIG4, {"run": {"type": "generalized", "J": 8, "topology": {"esr_C": 0.1}}}, "run.topology.kind", 2),
-    # config errors on an overdamped circuit come before the filter is built
+    # config errors come before the filter is built, on an overdamped circuit
+    # and on one whose repeated poles no filter can be built from
+    (EQUALIZE, {**CRITICAL, "run.sigma": -0.1}, "run.sigma", 2),
+    (ACCURACY, {**CRITICAL, "run.variants": ["exact", "implicit"]}, "run.variants", 2),
     (EQUALIZE, {**OVERDAMPED, "run.sigma": -0.1}, "run.sigma", 2),
     (EQUALIZE, {**OVERDAMPED, "run.c_factor": 0.0}, "run.c_factor", 2),
     (EQUALIZE, {**OVERDAMPED, "seed": -1}, "seed", 2),
@@ -304,9 +316,11 @@ REJECTED = [
 ]
 
 
-# the overdamped rows repeat earlier ones, so their ids say so
+# the overdamped and critical rows repeat earlier ones, so their ids say so
 REJECTED_IDS = [
-    f"{preset}:{field}" + (":overdamped" if OVERDAMPED.items() <= changes.items() else "")
+    f"{preset}:{field}"
+    + (":overdamped" if OVERDAMPED.items() <= changes.items() else "")
+    + (":critical" if CRITICAL.items() <= changes.items() else "")
     for preset, changes, field, _ in REJECTED
 ]
 
@@ -446,10 +460,26 @@ RERUN["vppm_analytic"] = _mutated(
     "fig3_components", {"modulation": VPPM, "bits": "10110010", "seed": 7, "run.J": 64}
 )
 RERUN["vppm_equalize"] = _mutated(EQUALIZE, {"modulation": VPPM, "run.J": 32})
+# every run type on an overdamped converter: R_L = 1 ohm is below the damping
+# boundary of every preset circuit, and a default guard follows the slow pole
+OVERDAMPED_RUNS = {
+    "analytic": get_preset("fig3_components"),
+    "gtx": get_preset(GTX),
+    "discrete": _mutated("fig3_components", {"run": DISCRETE}),
+    "spectrum": _defaulted(SPECTRUM, "settle_symbols"),
+    "accuracy": _mutated(ACCURACY, {"run.J_list": [4, 8]}),
+    "params": get_preset(PARAMS),
+    "equalize": get_preset(EQUALIZE),
+    "generalized": get_preset(GENERALIZED),
+}
+for run_type, cfg in OVERDAMPED_RUNS.items():
+    cfg["circuit"]["R_L"] = 1.0
+    RERUN[f"overdamped_{run_type}"] = cfg
 
 
 def test_reruns_cover_every_run_type():
     assert {cfg["run"]["type"] for cfg in RERUN.values()} == set(_RUN)
+    assert {cfg["run"]["type"] for cfg in OVERDAMPED_RUNS.values()} == set(_RUN)
 
 
 @pytest.mark.parametrize("case", list(DISCRETE_RUNS))
