@@ -23,10 +23,11 @@ import numpy as np
 
 from . import presets as presets_mod
 from .accuracy import _settle_guard, default_settle_symbols, reference_samples, sweep
-from .analytic import Waveform, data_component, pulse_shape_gtx, sample_output, transient_component
+from .analytic import Waveform, data_component, pulse_shape_gtx, transient_component
 from .circuit import CircuitParams, Dynamics, InitialConditions, _lc_model, derive_dynamics
 from .discrete import ConductionMode, Variant, derive_params, simulate
 from .equalization import (
+    MAX_DETECT_BITS,
     ObservationModel,
     brute_force_detect,
     equalize_frequency_domain,
@@ -34,7 +35,7 @@ from .equalization import (
     subtract_transient,
 )
 from .errors import ConfigError, DepthOutOfRangeError, ModelError, PatternTooShortError
-from .laplace import GeneralLoad, ParasiticParams, _build_model, ic_numerator, transfer_at
+from .laplace import GeneralLoad, ParasiticParams, _build_model, ic_numerator
 from .modulation import ModulationConfig, Scheme, alternating_bits, encode
 from .spectrum import ripple_spectrum, spectrum_via_fft
 
@@ -247,16 +248,9 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     ic = cfg["ic"] = {
         k: _typed(f"ic.{k}", "boolean" if k == "steady" else "number", v) for k, v in ic.items()
     }
-    if ic["steady"]:  # the DC operating point: v2_0 = delta*V1, every other symbol 0
-        ic.update(dict.fromkeys(ic, 0.0), steady=True, v2_0=mcfg.delta * p.V1)
-    built = SimpleNamespace(
-        p=p,
-        mcfg=mcfg,
-        bits=np.array(cfg["bits"], dtype=int),
-        pat=pat,
-        ic={k: v for k, v in ic.items() if k != "steady"},
-    )
+    built = SimpleNamespace(p=p, mcfg=mcfg, bits=np.array(cfg["bits"], dtype=int), pat=pat)
 
+    model = _lc_model(p)  # the run's filter, unless a generalized run's topology replaces it
     run = cfg["run"] = _tagged("run", cfg["run"], "type", _RUN)
     if run["type"] == "discrete":
         built.variant = _checked("run.variant", Variant, run["variant"])
@@ -285,15 +279,15 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
             topo["R_L"] = p.R_L
         load_type = ParasiticParams if topo["kind"] == "parasitic" else GeneralLoad
         params = {k: float(v) for k, v in topo.items() if k != "kind"}  # float("inf") for C_L
-        built.d = Dynamics.of(_build_model(p, _checked("run.topology", load_type, **params)))
-    if run["type"] not in ("discrete", "params", "generalized"):
-        # one base filter per run, built once the checks that do not need it passed
-        built.d = derive_dynamics(p)
-    # the run's filter names the initial-condition symbols; discrete and params
-    # runs need no poles and build none, so a critically damped circuit runs
-    # there too, and the base LC model names them
-    model = built.d.model if hasattr(built, "d") else _lc_model(p)
+        model = _build_model(p, _checked("run.topology", load_type, **params))
+    if ic["steady"]:  # the DC operating point: v2_0 = delta*V1*H(0), every other symbol 0
+        ic.update(dict.fromkeys(ic, 0.0), steady=True, v2_0=mcfg.delta * p.V1 * model.dc_gain)
+    built.ic = {k: v for k, v in ic.items() if k != "steady"}
     _checked("ic", ic_numerator, model, built.ic)
+    if run["type"] not in ("discrete", "params"):
+        # the poles, once every config check passed; discrete and params runs
+        # need none and build none, so a critically damped circuit runs there
+        built.d = Dynamics.of(model) if run["type"] == "generalized" else derive_dynamics(p)
     if run["type"] == "accuracy":
         # the accuracy module owns the settling guard and its default, which
         # follows the filter's decay
@@ -354,9 +348,9 @@ def _run_spectrum(run, b) -> dict:
     settle, J = run["settle_symbols"], run["J_fft"]
     reps = -(-(settle + pat.K) // pat.K)
     pat_ext = encode(np.tile(b.bits, reps)[-(settle + pat.K) :], mcfg)
-    ic = InitialConditions(v2_0=mcfg.delta * p.V1, dv2_0=0.0)
+    ic = InitialConditions(v2_0=mcfg.delta * p.V1 * d.model.dc_gain, dv2_0=0.0)
     w_win = reference_samples(d, ic, pat_ext, p.V1, J, settle)
-    sg_fft = spectrum_via_fft(w_win, dc_remove=pat.mean_duty() * p.V1)
+    sg_fft = spectrum_via_fft(w_win, dc_remove=sg.dc_mass)
 
     scale = p.V1 * mcfg.T
     return {
@@ -408,7 +402,7 @@ def _run_equalize(run, b) -> dict:
     r_v2_units = Waveform(dt=r.dt, t0=r.t0, samples=r.samples / run["c_factor"])
     cleaned = subtract_transient(r_v2_units, b.d, ic)
     outputs = {"equalized.csv": equalize_frequency_domain(cleaned, p, eps=run["eps"])}
-    if b.pat.K <= 12:
+    if b.pat.K <= MAX_DETECT_BITS:
         detected = brute_force_detect(r_v2_units, p, b.mcfg, ic, J, b.pat.K)
         outputs["detection.json"] = {
             "bits_true": [int(x) for x in b.bits],
@@ -421,15 +415,13 @@ def _run_equalize(run, b) -> dict:
 
 
 def _run_generalized(run, b) -> dict:
-    d, J = b.d, run["J"]
-    w = sample_output(d, b.ic, b.pat, b.p.V1, b.pat.T / J, b.pat.K * J)
     return {
-        "v2_generalized.csv": w,
+        "v2_generalized.csv": _run_analytic(run, b)["v2_total.csv"],
         "model.json": {
-            "num_ascending": [float(x) for x in d.model.num],
-            "den_ascending": [float(x) for x in d.model.den],
-            "poles": [[float(z.real), float(z.imag)] for z in d.poles],
-            "dc_gain": float(transfer_at(d.model, 0.0).real),
+            "num_ascending": [float(x) for x in b.d.model.num],
+            "den_ascending": [float(x) for x in b.d.model.den],
+            "poles": [[float(z.real), float(z.imag)] for z in b.d.poles],
+            "dc_gain": b.d.model.dc_gain,
         },
     }
 

@@ -94,6 +94,7 @@ def equalize_frequency_domain(r: Waveform, p: CircuitParams, eps: float = 0.0) -
     return Waveform(dt=r.dt, t0=r.t0, samples=y)
 
 
+MAX_DETECT_BITS = 12  # the most symbols brute_force_detect takes: 2^12 candidates
 # frame models kept, one per receiver configuration in use; a detection
 # sweep over K = 8..12 needs five
 _FRAME_MODELS = 16
@@ -170,13 +171,13 @@ def brute_force_detect(
     The observation is compared (in v2 units, i.e. assuming unit scale) against
     the discrete-model trajectory of every bit sequence; ties resolve to the
     lexicographically smallest sequence.  The observation must start at t = 0
-    on the model's grid dt = T/J.  Limited to K <= 12.  The frame model (the
-    all-zero trajectory and one zero-state response per symbol) is built once
-    per (p, cfg, ic, J, K, variant) and memoized read-only, so further frames
-    on one configuration cost only the scoring.
+    on the model's grid dt = T/J.  Limited to K <= MAX_DETECT_BITS.  The frame
+    model (the all-zero trajectory and one zero-state response per symbol) is
+    built once per (p, cfg, ic, J, K, variant) and memoized read-only, so
+    further frames on one configuration cost only the scoring.
     """
-    if K > 12:
-        raise TooManyBitsError(f"exhaustive search over 2^{K} sequences refused (K <= 12)")
+    if K > MAX_DETECT_BITS:
+        raise TooManyBitsError(f"search over 2^{K} sequences refused (K <= {MAX_DETECT_BITS})")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K!r}")
     N = K * J

@@ -46,6 +46,11 @@ class RationalLaplace:
     def degree(self) -> int:
         return len(self.den) - 1
 
+    @property
+    def dc_gain(self) -> float:
+        """H(0) = num[0]/den[0]: the output's DC level per volt of v1."""
+        return float(self.num[0] / self.den[0])
+
 
 @dataclass(frozen=True)
 class PoleResidue:
@@ -168,8 +173,8 @@ def step_expansion(r: RationalLaplace, poles: np.ndarray, V1: float) -> PoleResi
     """Expansion of V1*H(s)/s: the DC level V1*H(0) at s = 0, and V1*res_i/p_i
     at each pole p_i of H, where res_i is H's residue there."""
     res = expand_strictly_proper(r.num, r.den, poles).residues
-    dc = r.num[0] / r.den[0]
-    return PoleResidue(np.concatenate([[0.0], poles]), V1 * np.concatenate([[dc], res / poles]))
+    residues = V1 * np.concatenate([[r.dc_gain], res / poles])
+    return PoleResidue(np.concatenate([[0.0], poles]), residues)
 
 
 def _fold_conjugates(poles: np.ndarray, residues: np.ndarray) -> list[tuple[complex, complex]]:

@@ -111,7 +111,7 @@ def ripple_spectrum(
     """
     f = np.asarray(grid, dtype=float)
     values = v1_spectrum(pat, p.V1, f) * transfer_at(d.model, 2j * np.pi * f)
-    dc_mass = pat.mean_duty() * p.V1 * float(d.model.num[0] / d.model.den[0])
+    dc_mass = pat.mean_duty() * p.V1 * d.model.dc_gain
     return SpectrumGrid(frequencies=f, values=values, dc_mass=dc_mass)
 
 

@@ -15,7 +15,7 @@ from tpcsim.analytic import Waveform, sample_output
 from tpcsim.circuit import CircuitParams, Dynamics, InitialConditions, derive_dynamics
 from tpcsim.cli import _RUN, _render, main, run_scenario, validate_config
 from tpcsim.discrete import ConductionMode, Variant, simulate
-from tpcsim.equalization import ObservationModel, brute_force_detect, observe
+from tpcsim.equalization import MAX_DETECT_BITS, ObservationModel, brute_force_detect, observe
 from tpcsim.errors import ConfigError
 from tpcsim.laplace import ParasiticParams, build_parasitic_model
 from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode
@@ -359,7 +359,8 @@ def _csv_columns(path):
 
 
 # given ic -> the resolved ic without steady: v2_0 and dv2_0 default to 0, any
-# other symbol appears when given, and steady sets v2_0 = delta*V1 and the rest 0
+# other symbol appears when given, and steady sets v2_0 = delta*V1*H(0) (H(0) = 1
+# here) and the rest 0
 GENERALIZED_ICS = {
     "v2_0": ({"v2_0": 0.5}, {"v2_0": 0.5, "dv2_0": 0.0}),
     "d2v2_0": ({"d2v2_0": 1e9}, {"v2_0": 0.0, "dv2_0": 0.0, "d2v2_0": 1e9}),
@@ -381,6 +382,36 @@ def test_generalized_run_starts_from_the_root_ic(tmp_path, case):
     expected = sample_output(d, resolved, pat, p.V1, 1e-6 / 64, pat.K * 64)
     _, v2 = _csv_columns(tmp_path / "v2_generalized.csv")
     assert np.array_equal(v2, expected.samples)
+
+
+def _lossy(r_ds_on):
+    """generalized_parasitic with equal switch on-resistances r_ds_on, from a
+    steady start, on 200 alternating symbols."""
+    changes = {
+        "ic": {"steady": True},
+        "bits": {"pattern": "alternating", "K": 200},
+        "run.topology.r_ds_on_1": r_ds_on,
+        "run.topology.r_ds_on_2": r_ds_on,
+    }
+    return _mutated(GENERALIZED, changes)
+
+
+@pytest.mark.parametrize("r_ds_on", [0.5, 2.0])
+def test_steady_start_is_the_filters_dc_operating_point(tmp_path, r_ds_on):
+    """Switch resistance r lowers the DC gain to H(0) = R_L/(R_L + r), and the
+    output settles at delta*V1*H(0).  A steady start at delta*V1 = 0.75 V left
+    the first symbol pair's mean 18 mV (r = 0.5 ohm) and 65 mV (2 ohm) off the
+    last pair's."""
+    run_scenario(_lossy(r_ds_on), tmp_path)
+    meta = json.loads((tmp_path / "v2_generalized.csv.meta.json").read_text())
+    v2_0 = meta["ic"]["v2_0"]
+    R_L, delta_v1 = meta["circuit"]["R_L"], meta["modulation"]["delta"] * meta["circuit"]["V1"]
+    assert v2_0 == pytest.approx(delta_v1 * R_L / (R_L + r_ds_on), rel=1e-15, abs=0.0)
+    _, v2 = _csv_columns(tmp_path / "v2_generalized.csv")
+    pair_means = v2.reshape(-1, 2 * meta["run"]["J"]).mean(axis=1)
+    assert abs(pair_means[0] - pair_means[-1]) < 5e-3
+    model = json.loads((tmp_path / "model.json").read_text())
+    assert model["dc_gain"] == v2_0 / delta_v1
 
 
 def test_negligible_esl_runs_as_the_model_without_it(tmp_path):
@@ -447,6 +478,12 @@ RERUN["general_load_default_C_L"] = _mutated(GENERALIZED, {"run.topology": LOAD}
 RERUN["accuracy_default_settle_symbols"] = _defaulted(ACCURACY, "settle_symbols")
 RERUN["spectrum_default_settle_symbols"] = _defaulted(SPECTRUM, "settle_symbols")
 RERUN["generalized_nonzero_ic"] = _mutated(GENERALIZED, {"ic": {"v2_0": 0.5, "d2v2_0": 1e9}})
+RERUN["lossy_steady"] = _lossy(2.0)
+# a series R-L-C load with a finite C_L, whose poles are real
+SERIES_LOAD = {**LOAD, "R_L": 20.0, "L_L": 1e-5, "C_L": 1e-5}
+RERUN["series_load"] = _mutated(GENERALIZED, {"run.topology": SERIES_LOAD})
+# a frame too long for brute-force detection
+RERUN["equalize_k13"] = _mutated(EQUALIZE, {"bits": {"pattern": "alternating", "K": 13}})
 DISCRETE_RUNS = {
     "discrete_exact_ccm": {**DISCRETE, "variant": "exact", "mode": "ccm"},
     "discrete_predictive_dcm": {**DISCRETE, "variant": "predictive", "mode": "dcm"},
@@ -508,6 +545,13 @@ def test_vppm_equalize_run_detects_as_brute_force_detect(tmp_path):
     assert detection["bits_detected"] == detected.tolist()
     assert detection["bits_true"] == bits
     assert detection["bit_errors"] == 0
+
+
+def test_equalize_run_past_the_detection_limit_writes_no_detection(tmp_path):
+    assert RERUN["equalize_k13"]["bits"]["K"] == MAX_DETECT_BITS + 1
+    run_scenario(RERUN["equalize_k13"], tmp_path)
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == ["equalized.csv", "equalized.csv.meta.json"]
 
 
 @pytest.mark.parametrize("case", list(RERUN))
