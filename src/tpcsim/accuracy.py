@@ -118,13 +118,11 @@ def sweep(
         ref = reference_samples(d, ic, pat, p.V1, J, settle_symbols)
         n0 = settle_symbols * J
         for variant in variants:
-            v2, _ = simulate(p, pat, ic, J, variant, ConductionMode.CCM)
+            sim_w, _ = simulate(p, pat, ic, J, variant, ConductionMode.CCM, start=n0)
+            ref_w = ref
             if variant is Variant.PREDICTIVE and align_predictive:
-                sim_w = Waveform(dt=ref.dt, t0=ref.t0, samples=v2.samples[n0 + 1 :])
+                sim_w = Waveform(dt=sim_w.dt, t0=sim_w.t0, samples=sim_w.samples[1:])
                 ref_w = Waveform(dt=ref.dt, t0=ref.t0, samples=ref.samples[:-1])
-            else:
-                sim_w = Waveform(dt=ref.dt, t0=ref.t0, samples=v2.samples[n0:])
-                ref_w = ref
             b = bias(sim_w, cfg.delta, p.V1)
             reports.append(
                 AccuracyReport(

@@ -118,7 +118,8 @@ def _iterate(
     """(iL, v2) trajectories driven by the switching samples s1.
 
     Single source of truth for the update of all variants, shared by
-    `simulate`, `step` and brute-force detection.  Sample 0 of each output
+    `simulate` and brute-force detection; `_advance` runs the same update
+    without storing it.  Sample 0 of each output
     buffer holds the initial state; sample n >= 1 is one update of sample
     n - 1.  EXACT/SIMPLIFIED consume s1[n] and the fresh iL[n]; PREDICTIVE
     consumes s1[n-1] and iL[n-1].  In DCM the current clip happens before it
@@ -156,6 +157,28 @@ def _iterate(
     return out_iL, out_v2
 
 
+def _advance(
+    dp: DiscreteParams, V1: float, dcm: bool, iL: float, v2: float, s1
+) -> tuple[float, float]:
+    """The (iL, v2) state after the len(s1) - 1 updates of `_iterate`, bit for
+    bit its last sample: the same operations in the same order, unstored."""
+    alpha, gamma, kappa, mu = dp.alpha, dp.gamma, dp.kappa, dp.mu
+    bV = dp.beta * V1
+    floor = 0.0 if dcm else -math.inf
+    if dp.variant is Variant.PREDICTIVE:
+        for s in s1[:-1]:
+            iL, v2 = iL + bV * s + gamma * v2, kappa * v2 + mu * iL
+            if iL < floor:
+                iL = 0.0
+    else:
+        for s in s1[1:]:
+            iL = alpha * iL + bV * s + gamma * v2
+            if iL < floor:
+                iL = 0.0
+            v2 = kappa * v2 + mu * iL
+    return iL, v2
+
+
 def step(
     s: SimState,
     s1_n: float,
@@ -166,8 +189,8 @@ def step(
 ) -> SimState:
     """Advance one sample.  For the first predictive step s1_prev is 0 (the
     switching signal is right-sided)."""
-    iL, v2 = _iterate(dp, V1, mode is ConductionMode.DCM, s.iL, s.v2, (s1_prev, s1_n))
-    return SimState(iL=iL[1], v2=v2[1], n=s.n + 1)
+    iL, v2 = _advance(dp, V1, mode is ConductionMode.DCM, s.iL, s.v2, (s1_prev, s1_n))
+    return SimState(iL=iL, v2=v2, n=s.n + 1)
 
 
 def simulate(
@@ -177,15 +200,21 @@ def simulate(
     J: int,
     variant: Variant,
     mode: ConductionMode = ConductionMode.CCM,
+    start: int = 0,
 ) -> tuple[Waveform, Waveform]:
     """Run the iteration over the whole pattern.
 
-    Returns (v2, iL) trajectories of length K*J at dt = T/J; sample 0 carries
-    the initial conditions.
+    Returns (v2, iL) trajectories of samples start..K*J-1 at dt = T/J, with
+    t0 = start*dt; sample 0 carries the initial conditions.  The samples
+    before `start` are iterated unstored, so the result is bit for bit the
+    full run's samples[start:].  `start` must be an integer in [0, K*J) (or 0
+    on an empty pattern).
     """
     dp = derive_params(p, J, pat.T, variant)
     N = pat.K * J
-    s1 = sample_switching(pat, dp.dt, N)
+    if not (isinstance(start, (int, np.integer)) and 0 <= start < max(N, 1)):
+        raise ValueError(f"start must be an integer in [0, {N}), got {start!r}")
+    s1 = memoryview(sample_switching(pat, dp.dt, N))
     iL = initial_inductor_current(p, ic)
     v2 = ic.v2_0
     dcm = mode is ConductionMode.DCM
@@ -193,8 +222,12 @@ def simulate(
         raise ValueError(
             f"DCM requires iL(0) >= 0 and v2(0) >= 0, got iL={iL:.6g}, v2={v2:.6g}"
         )
-    out_iL, out_v2 = _iterate(dp, p.V1, dcm, iL, v2, memoryview(s1))
+    # EXACT/SIMPLIFIED read s1[n] and PREDICTIVE s1[n-1] for sample n, so the
+    # two slices overlap in s1[start] and each run reads what the full one would
+    iL, v2 = _advance(dp, p.V1, dcm, iL, v2, s1[: start + 1])
+    out_iL, out_v2 = _iterate(dp, p.V1, dcm, iL, v2, s1[start:])
+    t0 = start * dp.dt
     return (
-        Waveform(dt=dp.dt, t0=0.0, samples=out_v2),
-        Waveform(dt=dp.dt, t0=0.0, samples=out_iL),
+        Waveform(dt=dp.dt, t0=t0, samples=out_v2),
+        Waveform(dt=dp.dt, t0=t0, samples=out_iL),
     )

@@ -14,7 +14,7 @@ from tpcsim.accuracy import (
 )
 from tpcsim.analytic import Waveform, sample_output
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics
-from tpcsim.discrete import Variant
+from tpcsim.discrete import Variant, simulate
 from tpcsim.errors import ConfigError, GridMismatchError, PatternTooShortError
 from tpcsim.modulation import (
     ModulationConfig,
@@ -177,3 +177,37 @@ def test_sweep_bias_and_mse_are_finite_and_positive():
     for r in reports:
         assert np.isfinite(r.bias)
         assert r.mse > 0.0
+
+
+@pytest.mark.parametrize("settle", [0, 3])
+@pytest.mark.parametrize("align", [True, False])
+def test_sweep_is_the_statistics_of_the_full_trajectory(settle, align):
+    """Each report is bias and MSE computed by hand from the full simulated
+    and closed-form trajectories, sliced at the guard, bit for bit."""
+    cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
+    bits = alternating_bits(12)
+    d = derive_dynamics(SLOW)
+    pat = encode_vpwm(bits, cfg)
+    ic = InitialConditions(cfg.delta * SLOW.V1, 0.0)
+    Js = [1, 4, 7]
+    reports = iter(
+        sweep(SLOW, cfg, bits, Js, list(Variant), settle_symbols=settle, align_predictive=align)
+    )
+    for J in Js:
+        n0 = settle * J
+        full_ref = sample_output(d, ic, pat, SLOW.V1, T / J, pat.K * J).samples[n0:]
+        # the two windows' grids are built independently and agree exactly
+        started, _ = simulate(SLOW, pat, ic, J, Variant.EXACT, start=n0)
+        assert started.t0 == reference_samples(d, ic, pat, SLOW.V1, J, settle).t0
+        for variant in Variant:
+            v2 = simulate(SLOW, pat, ic, J, variant)[0].samples[n0:]
+            ref = full_ref
+            if variant is Variant.PREDICTIVE and align:
+                v2, ref = v2[1:], ref[:-1]
+            b = float(np.mean(v2)) - cfg.delta * SLOW.V1
+            diff = v2 - b - ref
+            r = next(reports)
+            assert (r.J, r.variant, r.settle_symbols, r.n_samples) == (J, variant, settle, len(v2))
+            assert r.bias == b
+            assert r.mse == float(np.mean(diff * diff))
+    assert next(reports, None) is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import backward_difference_buck, euler_buck
 from tpcsim.analytic import sample_output
@@ -220,6 +222,50 @@ def test_simulate_of_an_empty_pattern_is_empty(variant):
     v2, iL = simulate(FAST, fig3_pattern(0), InitialConditions(0.75, 0.0), 8, variant)
     assert len(v2) == len(iL) == 0
     assert v2.dt == iL.dt == pytest.approx(T / 8)
+
+
+@settings(max_examples=150)
+@given(
+    slow=st.booleans(),
+    variant=st.sampled_from(list(Variant)),
+    mode=st.sampled_from(list(ConductionMode)),
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=16),
+    J=st.integers(1, 64),
+    v2_0=st.floats(0.0, 2.0),
+    dv2_0=st.floats(0.0, 1e5),
+    start_share=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_started_run_is_the_tail_of_the_full_run(
+    slow, variant, mode, bits, J, v2_0, dv2_0, start_share
+):
+    """A run that stores from `start` on is bit for bit the full run's tail:
+    the samples before it are iterated without storing them.  v2(0) up to
+    2 V starts above the target, so DCM runs clip the current; the last
+    sample alone is checked too, so such a clip falls in the unstored part."""
+    p = SLOW if slow else FAST
+    pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+    ic = InitialConditions(v2_0, dv2_0)
+    N = pat.K * J
+    start = min(int(start_share * N), N - 1)
+    try:
+        v2, iL = simulate(p, pat, ic, J, variant, mode)
+    except UnstableStepError:
+        assume(False)
+    for n0 in (start, N - 1):
+        v2_s, iL_s = simulate(p, pat, ic, J, variant, mode, start=n0)
+        assert np.array_equal(v2_s.samples, v2.samples[n0:])
+        assert np.array_equal(iL_s.samples, iL.samples[n0:])
+        assert v2_s.dt == iL_s.dt == v2.dt
+        assert v2_s.t0 == iL_s.t0 == n0 * v2.dt
+
+
+@pytest.mark.parametrize(
+    "K, start", [(4, -1), (4, 32), (4, 33), (4, 1.0), (4, 0.5), (4, "1"), (4, None), (0, 1)]
+)
+def test_start_outside_the_run_is_rejected(K, start):
+    # K*J = 32 samples at K = 4, none at K = 0
+    with pytest.raises(ValueError, match="start"):
+        simulate(FAST, fig3_pattern(K), InitialConditions(0.75, 0.0), 8, Variant.EXACT, start=start)
 
 
 def test_fig4_scenario_settled_mean():
