@@ -39,18 +39,9 @@ from .equalization import (
     subtract_transient,
     zf_response,
 )
-from .laplace import (
-    GeneralLoad,
-    ParasiticParams,
-    PoleResidue,
-    RationalLaplace,
-    build_general_load_model,
-    build_parasitic_model,
-    expand_strictly_proper,
-    find_poles,
-    simulate_generalized,
-    transfer_at,
-)
+from .laplace import GeneralLoad, ParasiticParams, build_general_load_model, build_parasitic_model
+from .laplace import simulate_generalized
+from .modal import PoleResidue, RationalLaplace, expand_strictly_proper, find_poles, transfer_at
 from .modulation import (
     ModulationConfig,
     Scheme,

@@ -2,8 +2,8 @@
 
 The buck converter's LC lowpass with Ohmic load is the second-order system
 H(s) = w0^2/(w0^2 + 2a*s + s^2), w0^2 = 1/(L*C) and a = 1/(2*C*R_L), written
-once, in _lc_model.  Its poles are a conjugate pair -a +/- jb above the
-damping boundary R_L = 0.5*sqrt(L/C) (underdamped) and real at or below it.
+once, in _lc_model.  Its poles (find_poles' degree-2 rule) are a pair -a -/+ jb
+above the damping boundary R_L = 0.5*sqrt(L/C) and real at or below it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .modal import RationalLaplace, _distinct, _modal_sum, _readonly, expand_strictly_proper
-from .modal import find_poles, transfer_at
+from .modal import RationalLaplace, _modal_sum, _readonly, expand_strictly_proper, find_poles
+from .modal import transfer_at
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,8 @@ class CircuitParams:
 def _lc_model(p: CircuitParams) -> RationalLaplace:
     """H(s) = w0^2 / (w0^2 + 2a*s + s^2), the LC lowpass with Ohmic load.
 
-    H(0) is exactly 1, and at the pair c +/- jb (c = -a, from den[1]) the
-    derivative den' = 2a + 2s is exactly +/-2jb, so the impulse response
-    starts at exactly 0."""
+    H(0) is exactly 1, and with den[2] = 1 the engine's c = -a and the pair
+    c -/+ jb's gap -/+2jb are exact, so the impulse response starts at 0."""
     den = np.array([1.0 / (p.L * p.C), 1.0 / (p.C * p.R_L), 1.0])
     return RationalLaplace(num=den[:1], den=den)
 
@@ -91,20 +90,9 @@ class InitialConditions:
 
 
 def derive_dynamics(p: CircuitParams) -> Dynamics:
-    """The base filter at the roots c +/- sqrt(d2) of _lc_model's denominator,
-    c = -a and d2 = c^2 - w0^2: the pair c +/- j*sqrt(-d2) when d2 < 0, else
-    fast = c - sqrt(d2) and slow = w0^2/fast, a product that does not cancel
-    as c + sqrt(d2) does (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sec. 1.8).  RepeatedPolesError for a real pair that
-    _distinct rejects, within about 1.3e-13 of the damping boundary."""
-    model = _lc_model(p)
-    w0_sq, c = model.den[0], -0.5 * model.den[1]
-    d2 = c * c - w0_sq
-    if d2 < 0.0:
-        b = math.sqrt(-d2)
-        return Dynamics(model, [complex(c, b), complex(c, -b)])
-    fast = c - math.sqrt(d2)
-    return Dynamics(model, _distinct(np.array([fast, w0_sq / fast], dtype=complex)))
+    """Dynamics.of(_lc_model(p)); RepeatedPolesError only for a real pair
+    within about 1.3e-13 of the damping boundary."""
+    return Dynamics.of(_lc_model(p))
 
 
 def frequency_response(p: CircuitParams, f):

@@ -24,7 +24,7 @@ import numpy as np
 from . import presets as presets_mod
 from .accuracy import _settle_guard, default_settle_symbols, reference_samples, sweep
 from .analytic import Waveform, data_component, pulse_shape_gtx, transient_component
-from .circuit import CircuitParams, Dynamics, InitialConditions, _lc_model, derive_dynamics
+from .circuit import CircuitParams, Dynamics, InitialConditions, _lc_model
 from .discrete import ConductionMode, Variant, derive_params, simulate
 from .equalization import (
     MAX_DETECT_BITS,
@@ -35,7 +35,8 @@ from .equalization import (
     subtract_transient,
 )
 from .errors import ConfigError, DepthOutOfRangeError, ModelError, PatternTooShortError
-from .laplace import GeneralLoad, ParasiticParams, _build_model, ic_numerator
+from .laplace import GeneralLoad, ParasiticParams, _build_model
+from .modal import ic_numerator
 from .modulation import ModulationConfig, Scheme, alternating_bits, encode
 from .spectrum import ripple_spectrum, spectrum_via_fft
 
@@ -287,7 +288,7 @@ def _resolve(raw) -> tuple[dict, SimpleNamespace]:
     if run["type"] not in ("discrete", "params"):
         # the poles, once every config check passed; discrete and params runs
         # need none and build none, so a critically damped circuit runs there
-        built.d = Dynamics.of(model) if run["type"] == "generalized" else derive_dynamics(p)
+        built.d = Dynamics.of(model)
     if run["type"] == "accuracy":
         # the accuracy module owns the settling guard and its default, which
         # follows the filter's decay

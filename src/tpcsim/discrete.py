@@ -57,6 +57,12 @@ class SimState:
     n: int = 0
 
 
+def _check_oversampling(J) -> None:
+    """ValueError unless the oversampling factor J is an integer >= 1."""
+    if not (isinstance(J, (int, np.integer)) and J >= 1):
+        raise ValueError(f"J must be an integer >= 1, got {J!r}")
+
+
 def derive_params(p: CircuitParams, J: int, T: float, variant: Variant) -> DiscreteParams:
     """Iteration coefficients for interval dt = T/J.
 
@@ -67,8 +73,7 @@ def derive_params(p: CircuitParams, J: int, T: float, variant: Variant) -> Discr
     by more than its rounding: at dt = L/R_L the predictive pole pair sits on
     the unit circle and its ringing never decays.
     """
-    if not (isinstance(J, (int, np.integer)) and J >= 1):
-        raise ValueError(f"J must be an integer >= 1, got {J!r}")
+    _check_oversampling(J)
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T!r}")
     dt = T / J

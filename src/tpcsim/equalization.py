@@ -26,7 +26,7 @@ from .circuit import (
     frequency_response,
     initial_inductor_current,
 )
-from .discrete import Variant, _iterate, derive_params
+from .discrete import Variant, _check_oversampling, _iterate, derive_params
 from .errors import ConfigError, GridMismatchError, TooManyBitsError
 from .modulation import ModulationConfig, encode, sample_switching
 
@@ -180,6 +180,7 @@ def brute_force_detect(
         raise TooManyBitsError(f"search over 2^{K} sequences refused (K <= {MAX_DETECT_BITS})")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K!r}")
+    _check_oversampling(J)
     N = K * J
     if len(r) < N:
         raise ValueError(f"observation has {len(r)} samples, need {N}")

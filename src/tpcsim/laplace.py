@@ -10,10 +10,9 @@ builds H = Q/P from the branch impedances, which is the equation
 
 whose Laplace transform yields V2(s)*P(s) = Q(s)*V1(s) plus polynomial
 initial-condition terms.  The model type, root finding, residues and time
-evaluation live in the modal module, shared with the base filter; this
-module re-exports the public ones.  circuit.Dynamics.of puts a model at its
-poles, and the analytic, spectrum and accuracy functions take the result
-like the base filter's.
+evaluation live in the modal module, shared with the base filter.
+circuit.Dynamics.of puts a model at its poles, and the analytic, spectrum and
+accuracy functions take the result like the base filter's.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import numpy as np
 from .analytic import Waveform, sample_output
 from .circuit import CircuitParams, Dynamics
 from .errors import ConfigError, DegenerateTopologyError
-from .modal import PoleResidue, RationalLaplace, expand_strictly_proper, find_poles, ic_numerator
-from .modal import transfer_at
+from .modal import RationalLaplace
 from .modulation import SwitchingPattern
 
 
@@ -88,9 +86,9 @@ def build_parasitic_model(p: CircuitParams, q: ParasiticParams) -> RationalLapla
     """Transfer model with (esr_C, esl_C) in series with the output capacitor.
 
     With both parasitics at zero this degenerates to the base second-order
-    model (degree reduction, not an error); esl_C alone raises the denominator
-    degree to three.  Unequal switch on-resistances make the system switch
-    between two different dynamics and admit no single rational model.
+    model (degree reduction, not an error), solved like it; esl_C raises the
+    denominator degree to three.  Unequal switch on-resistances make the system
+    switch between two different dynamics and admit no single rational model.
     """
     if q.r_ds_on_1 != q.r_ds_on_2:
         raise DegenerateTopologyError(
@@ -105,8 +103,8 @@ def build_general_load_model(p: CircuitParams, gl: GeneralLoad) -> RationalLapla
     """Transfer model for a series R-L-C impedance load (ideal L and C).
 
     gl.R_L is the Ohmic part of the load and supersedes p.R_L.  A purely Ohmic
-    load (L_L = 0, C_L = inf) reduces to the base second-order model; both
-    extra elements together give the full quartic.
+    load (L_L = 0, C_L = inf) reduces to the base second-order model, solved
+    like it; both extra elements together give the full quartic.
     """
     RL, LL, CL = gl.R_L, gl.L_L, gl.C_L
     if math.isinf(CL):  # a short: the general form would leave a common factor s

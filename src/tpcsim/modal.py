@@ -1,12 +1,13 @@
 """Rational transfer models V2(s)*P(s) = Q(s)*V1(s) + initial-condition terms
 (coefficients ascending in s) and the pole/residue engine that evaluates them:
 residues from expand_strictly_proper, frequency values from transfer_at and
-time signals from _modal_sum.  circuit.Dynamics holds a model at its poles:
-the base LC filter's degree-2 one, or a higher degree the laplace module builds.
+time signals from _modal_sum.  circuit.Dynamics holds a model of degree 2
+(the base LC filter or a reduced extension) to 4 at the poles find_poles gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -139,13 +140,22 @@ def _balanced_roots(den: np.ndarray) -> np.ndarray:
 
 
 def find_poles(r: RationalLaplace) -> np.ndarray:
-    """All denominator roots, backward-error-verified, sorted by (real, imag).
+    """All denominator roots, sorted by (real, imag); RepeatedPolesError for
+    roots _distinct rejects, which a degree-2 complex pair never reaches.
 
-    Each root is judged on its own magnitude: one within 1e-9*|r| of the real
-    axis is snapped to it, and complex pairs come out of the real companion
-    matrix's eigenvalue solve (LAPACK dgeev) as exact conjugates.  Raises
-    RepeatedPolesError for roots _distinct rejects.
+    Degree 2, with c = -P1/(2*P2) and d2 = c^2 - P0/P2: c -/+ j*sqrt(-d2) if
+    d2 < 0, else far = c + sign(c)*sqrt(d2) and near = (P0/P2)/far, which
+    does not cancel as c - sign(c)*sqrt(d2) does (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 1.8).  Higher degrees:
+    _balanced_roots (dgeev), each snapped to the real axis within 1e-9*|r|.
     """
+    if r.degree == 2:
+        c, q = -r.den[1] / (2.0 * r.den[2]), r.den[0] / r.den[2]
+        d2 = c * c - q
+        if d2 < 0.0:
+            return np.array([complex(c, -math.sqrt(-d2)), complex(c, math.sqrt(-d2))])
+        far = c + math.copysign(math.sqrt(d2), c)
+        return _distinct(np.array(sorted([far, q / far]), dtype=complex))
     roots = _balanced_roots(r.den)
     roots = np.where(np.abs(roots.imag) <= 1e-9 * np.abs(roots), roots.real + 0j, roots)
     poles = np.array(sorted(roots.tolist(), key=lambda z: (z.real, z.imag)), dtype=complex)
@@ -163,9 +173,14 @@ def _distinct(poles: np.ndarray) -> np.ndarray:
 
 
 def expand_strictly_proper(num: np.ndarray, den: np.ndarray, poles: np.ndarray) -> PoleResidue:
-    """Residues of a strictly proper num/den at the given (distinct) poles."""
-    dden = np.arange(1, len(den)) * np.asarray(den, dtype=float)[1:]
-    residues = _polyval_asc(np.asarray(num, dtype=float), poles) / _polyval_asc(dden, poles)
+    """Residues num(p_i)/den'(p_i) of a strictly proper num/den at its distinct
+    poles, one per root of den (ValueError otherwise), with den'(p_i) =
+    den[-1]*prod_{j != i}(p_i - p_j): exactly -/+2jb*den[-1] at a pair c -/+ jb."""
+    if len(poles) != len(den) - 1:
+        raise ValueError(f"den of degree {len(den) - 1} needs one pole per root, got {len(poles)}")
+    roots = np.asarray(poles, dtype=complex).tolist()
+    gaps = [math.prod(p - q for j, q in enumerate(roots) if j != i) for i, p in enumerate(roots)]
+    residues = _polyval_asc(np.asarray(num, dtype=float), poles) / (den[-1] * np.array(gaps))
     return PoleResidue(poles, residues)
 
 

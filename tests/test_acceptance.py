@@ -41,11 +41,9 @@ from tpcsim.laplace import (
     ParasiticParams,
     build_general_load_model,
     build_parasitic_model,
-    expand_strictly_proper,
-    find_poles,
-    ic_numerator,
     simulate_generalized,
 )
+from tpcsim.modal import expand_strictly_proper, find_poles, ic_numerator
 from tpcsim.modulation import (
     ModulationConfig,
     Scheme,

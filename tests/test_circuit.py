@@ -28,7 +28,7 @@ def test_derive_dynamics_reference_values():
     d = derive_dynamics(FAST)
     assert d.a == pytest.approx(50000.0, rel=1e-12)
     assert d.b == pytest.approx(312249.8999199199, rel=1e-12)
-    s01, s02 = d.poles
+    s02, s01 = d.poles
     assert s01 == pytest.approx(complex(-d.a, d.b))
     assert s02 == np.conj(s01)
 
@@ -47,7 +47,7 @@ def test_derive_dynamics_is_the_closed_form_bitwise(L, C, over_boundary):
     b = math.sqrt(1.0 / (p.L * p.C) - a * a)
     assert (d.a.hex(), d.b.hex()) == (a.hex(), b.hex())
     bits = [(z.real.hex(), z.imag.hex()) for z in d.poles.tolist()]
-    assert bits == [((-a).hex(), b.hex()), ((-a).hex(), (-b).hex())]
+    assert bits == [((-a).hex(), (-b).hex()), ((-a).hex(), b.hex())]
 
 
 def test_derive_dynamics_rejects_only_the_critical_band():

@@ -482,6 +482,10 @@ RERUN["lossy_steady"] = _lossy(2.0)
 # a series R-L-C load with a finite C_L, whose poles are real
 SERIES_LOAD = {**LOAD, "R_L": 20.0, "L_L": 1e-5, "C_L": 1e-5}
 RERUN["series_load"] = _mutated(GENERALIZED, {"run.topology": SERIES_LOAD})
+# an Ohmic load 1e-13 above the damping boundary of the preset's L = 100 uH,
+# C = 0.1 uF: the base filter's pair, 0.14 rad/s off the real axis
+NEAR_BOUNDARY = {"circuit.R_L": 0.5 * math.sqrt(100e-6 / 0.1e-6) * (1 + 1e-13)}
+RERUN["ohmic_load_near_boundary"] = _mutated(GENERALIZED, {"run.topology": LOAD, **NEAR_BOUNDARY})
 # a frame too long for brute-force detection
 RERUN["equalize_k13"] = _mutated(EQUALIZE, {"bits": {"pattern": "alternating", "K": 13}})
 DISCRETE_RUNS = {
@@ -552,6 +556,18 @@ def test_equalize_run_past_the_detection_limit_writes_no_detection(tmp_path):
     run_scenario(RERUN["equalize_k13"], tmp_path)
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["equalized.csv", "equalized.csv.meta.json"]
+
+
+def test_ohmic_load_near_the_boundary_runs_as_the_base_filter(tmp_path):
+    """An Ohmic load reduces to the base filter, and both get their poles from
+    one degree-2 rule: where the companion solve called the pair repeated
+    (exit 1), the generalized output is the analytic run's to 1e-15 V."""
+    cfg = RERUN["ohmic_load_near_boundary"]
+    run_scenario(cfg, tmp_path / "generalized")
+    run_scenario({**cfg, "run": {"type": "analytic", "J": cfg["run"]["J"]}}, tmp_path / "analytic")
+    _, v2 = _csv_columns(tmp_path / "generalized" / "v2_generalized.csv")
+    _, base = _csv_columns(tmp_path / "analytic" / "v2_total.csv")
+    assert np.max(np.abs(v2 - base)) <= 1e-15
 
 
 @pytest.mark.parametrize("case", list(RERUN))

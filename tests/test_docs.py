@@ -10,11 +10,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_readme_quick_start_runs():
+    """The example runs with a RuntimeWarning as an error, as the suite does."""
     readme = (ROOT / "README.md").read_text()
     code = re.search(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE).group(1)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 

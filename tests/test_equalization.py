@@ -274,6 +274,15 @@ def test_detection_rejects_observation_on_another_grid():
     assert np.array_equal(brute_force_detect(same, FAST, CFG, IC, J=8, K=3), [1, 0, 1])
 
 
+@pytest.mark.parametrize("J", [0, -1, 2.5])
+def test_detection_rejects_a_bad_oversampling_factor(J):
+    """J is checked as derive_params checks it, before the grid: J = 0 raised
+    ZeroDivisionError and J = -1 or 2.5 named a negative or fractional grid."""
+    r = make_obs([1, 0, 1], J=8)
+    with pytest.raises(ValueError, match=f"J must be an integer >= 1, got {J!r}"):
+        brute_force_detect(r, FAST, CFG, IC, J=J, K=3)
+
+
 @settings(max_examples=60)
 @given(
     bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),

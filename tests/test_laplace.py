@@ -21,17 +21,19 @@ from tpcsim.errors import DegenerateTopologyError, ModelError, RepeatedPolesErro
 from tpcsim.laplace import (
     GeneralLoad,
     ParasiticParams,
-    PoleResidue,
-    RationalLaplace,
     build_general_load_model,
     build_parasitic_model,
+    simulate_generalized,
+)
+from tpcsim.modal import (
+    PoleResidue,
+    RationalLaplace,
+    _modal_sum,
     expand_strictly_proper,
     find_poles,
     ic_numerator,
-    simulate_generalized,
     transfer_at,
 )
-from tpcsim.modal import _modal_sum
 from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vppm, encode_vpwm
 
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
@@ -53,7 +55,7 @@ def test_no_parasitics_reduces_to_base_model():
     assert model.degree == 2
     d = derive_dynamics(SLOW)
     poles = find_poles(model)
-    assert np.allclose(sorted(poles, key=lambda z: z.imag), d.poles[::-1], rtol=1e-10)
+    assert np.allclose(sorted(poles, key=lambda z: z.imag), d.poles, rtol=1e-10)
     assert transfer_at(model, 0.0) == pytest.approx(1.0)
 
 
@@ -180,6 +182,16 @@ def test_textbook_residues():
     poles = np.array([-1.0 + 0j, -2.0 + 0j])
     pr = expand_strictly_proper(np.array([1.0]), den, poles)
     assert np.allclose(pr.residues, [1.0, -1.0], rtol=1e-12)
+
+
+def test_expansion_takes_one_pole_per_root():
+    """den'(p_i) comes from the gaps to the other poles, so a missing or an
+    extra pole would give wrong residues without an error."""
+    model = build_parasitic_model(SLOW, ParasiticParams(esl_C=10e-9))
+    poles = find_poles(model)
+    for given in (poles[:2], np.append(poles, -1.0)):
+        with pytest.raises(ValueError, match="one pole per root"):
+            expand_strictly_proper(model.num, model.den, given)
 
 
 def test_partial_fraction_round_trip_reconstruction():

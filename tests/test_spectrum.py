@@ -22,8 +22,8 @@ from tpcsim.laplace import (
     ParasiticParams,
     build_general_load_model,
     build_parasitic_model,
-    transfer_at,
 )
+from tpcsim.modal import transfer_at
 from tpcsim.modulation import (
     ModulationConfig,
     Scheme,
