@@ -48,10 +48,7 @@ from .modulation import (
     SwitchingPattern,
     alternating_bits,
     encode,
-    encode_vppm,
-    encode_vpwm,
     sample_switching,
-    unmodulated_pattern,
 )
 from .spectrum import (
     SpectrumGrid,

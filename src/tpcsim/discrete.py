@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import Waveform
 from .circuit import CircuitParams, InitialConditions, initial_inductor_current
-from .errors import UnstableStepError
+from .errors import ConfigError, UnstableStepError
 from .modulation import SwitchingPattern, sample_switching
 
 
@@ -224,8 +224,8 @@ def simulate(
     v2 = ic.v2_0
     dcm = mode is ConductionMode.DCM
     if dcm and (iL < 0.0 or v2 < 0.0):
-        raise ValueError(
-            f"DCM requires iL(0) >= 0 and v2(0) >= 0, got iL={iL:.6g}, v2={v2:.6g}"
+        raise ConfigError(
+            "ic", f"DCM requires iL(0) >= 0 and v2(0) >= 0, got iL={iL:.6g}, v2={v2:.6g}"
         )
     # EXACT/SIMPLIFIED read s1[n] and PREDICTIVE s1[n-1] for sample n, so the
     # two slices overlap in s1[start] and each run reads what the full one would

@@ -40,6 +40,8 @@ class RationalLaplace:
             raise ValueError(f"denominator degree must be 2..4, got {self.degree}")
         if self.den[-1] == 0.0:
             raise ValueError("leading denominator coefficient must be nonzero")
+        if self.den[0] == 0.0:
+            raise ValueError("den[0] must be nonzero: a pole at s = 0 has no DC gain")
         if len(self.num) - 1 > self.degree:
             raise ValueError("numerator degree exceeds denominator degree")
 

@@ -9,7 +9,7 @@ level even when it lands on an edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -135,25 +135,6 @@ def encode(bits, cfg: ModulationConfig) -> SwitchingPattern:
             f"outside (0, 1) or a pulse outside the symbol period [0, {cfg.T:.6g}] s"
         )
     return pat
-
-
-def encode_vpwm(bits, cfg: ModulationConfig) -> SwitchingPattern:
-    """encode for a VPWM config: bit k maps to duty delta + (2*bits[k]-1)*depth."""
-    if cfg.scheme is not Scheme.VPWM:
-        raise ValueError(f"config scheme is {cfg.scheme}, expected VPWM")
-    return encode(bits, cfg)
-
-
-def encode_vppm(bits, cfg: ModulationConfig) -> SwitchingPattern:
-    """encode for a VPPM config: bit k shifts the pulse center to T/2 +/- depth."""
-    if cfg.scheme is not Scheme.VPPM:
-        raise ValueError(f"config scheme is {cfg.scheme}, expected VPPM")
-    return encode(bits, cfg)
-
-
-def unmodulated_pattern(cfg: ModulationConfig, K: int) -> SwitchingPattern:
-    """K identical centered pulses of width delta*T."""
-    return encode(np.zeros(K, dtype=int), replace(cfg, scheme=Scheme.UNMODULATED))
 
 
 def sample_switching(pat: SwitchingPattern, dt: float, N: int) -> np.ndarray:

@@ -48,7 +48,7 @@ from tpcsim.modulation import (
     ModulationConfig,
     Scheme,
     alternating_bits,
-    encode_vpwm,
+    encode,
     sample_switching,
 )
 from tpcsim.analytic import transient_component
@@ -103,7 +103,7 @@ def test_criterion_1_analytic_matches_rk4_oracle():
     ]
     assert len(combos) == 12  # 4 of them overdamped
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.2)
-    pat = encode_vpwm(alternating_bits(64), cfg)
+    pat = encode(alternating_bits(64), cfg)
     J = 1000
     worst = 0.0
     slowest = 0.0
@@ -126,7 +126,7 @@ def test_criterion_1_analytic_matches_rk4_oracle():
 def test_criterion_2_ripple_bound():
     start = time.perf_counter()
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
-    pat = encode_vpwm(alternating_bits(64), cfg)
+    pat = encode(alternating_bits(64), cfg)
     d = derive_dynamics(SLOW)
     ic = InitialConditions(0.75, 0.0)
     J = 100
@@ -144,7 +144,7 @@ def test_criterion_2_ripple_bound():
 def test_criterion_3_spectrum_decay_and_fft_agreement():
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
     K = 64
-    pat = encode_vpwm(alternating_bits(K), cfg)
+    pat = encode(alternating_bits(K), cfg)
     d = derive_dynamics(SLOW)
     f3 = cutoff_frequency(SLOW)
 
@@ -156,7 +156,7 @@ def test_criterion_3_spectrum_decay_and_fft_agreement():
     # FFT cross-check on a settled window of 64 symbols
     settle = 48
     bits_ext = alternating_bits(settle + K)
-    pat_ext = encode_vpwm(bits_ext, cfg)
+    pat_ext = encode(bits_ext, cfg)
     J = 64
     ic = InitialConditions(0.75, 0.0)
     w_full = sample_output(d, ic, pat_ext, SLOW.V1, T / J, pat_ext.K * J)
@@ -261,7 +261,7 @@ def test_criterion_5_bias_endpoint_decrease(fig67_reports):
     # the bound, which shows those zeros are exact cancellations.
     table_raw, _ = fig67_reports
     V1 = FAST.V1
-    pat = encode_vpwm(FIG67_BITS, FIG67_CFG)
+    pat = encode(FIG67_BITS, FIG67_CFG)
     worst_ratio = 0.0
     worst_gap = 0.0
     for J in FIG6_J_LIST:
@@ -323,7 +323,7 @@ def test_criterion_7_dcm_properties():
         p = CircuitParams(L=10e-6, C=1e-6, R_L=r_l)
         for _ in range(10):
             bits = rng.integers(0, 2, int(rng.integers(8, 32)))
-            pat = encode_vpwm(bits, cfg)
+            pat = encode(bits, cfg)
             # occasionally start above the target voltage to force clipping
             v2_0 = float(rng.choice([0.0, 0.75, 1.5]))
             ic = InitialConditions(v2_0, 0.0)
@@ -377,14 +377,14 @@ def test_criterion_8_equalization_identities():
     exhaustive_ok = True
     for value in range(64):
         bits = np.array([(value >> (5 - i)) & 1 for i in range(6)])
-        pat = encode_vpwm(bits, cfg)
+        pat = encode(bits, cfg)
         v2, _ = simulate(FAST, pat, ic, J, Variant.EXACT)
         det = brute_force_detect(v2, FAST, cfg, ic, J, 6)
         exhaustive_ok &= bool(np.array_equal(det, bits))
 
     # seeded detection at 30 dB SNR, 100 trials, zero bit errors
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
-    pat = encode_vpwm(bits, cfg)
+    pat = encode(bits, cfg)
     v2, _ = simulate(FAST, pat, ic, J, Variant.EXACT)
     sigma = np.std(v2.samples - np.mean(v2.samples)) / 10 ** (30 / 20)
     errors = 0
@@ -409,7 +409,7 @@ def test_criterion_9_generalized_solver():
     start = time.perf_counter()
     rng = np.random.default_rng(99)
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
-    pat = encode_vpwm(alternating_bits(10), cfg)
+    pat = encode(alternating_bits(10), cfg)
     J = 64
     d = derive_dynamics(SLOW)
     ic = InitialConditions(0.75, 0.0)

@@ -20,8 +20,7 @@ from tpcsim.modulation import (
     ModulationConfig,
     Scheme,
     alternating_bits,
-    encode_vppm,
-    encode_vpwm,
+    encode,
 )
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
@@ -38,7 +37,7 @@ def test_default_settle_symbols():
 def test_reference_requires_long_enough_pattern():
     d = derive_dynamics(FAST)
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.2)
-    pat = encode_vpwm(alternating_bits(64), cfg)
+    pat = encode(alternating_bits(64), cfg)
     ic = InitialConditions(0.75, 0.0)
     with pytest.raises(PatternTooShortError):
         reference_samples(d, ic, pat, 1.0, 8)  # default guard is 277 symbols
@@ -49,7 +48,7 @@ def test_reference_requires_long_enough_pattern():
 
 def test_reference_rejects_negative_settle_guard():
     d = derive_dynamics(FAST)
-    pat = encode_vpwm(alternating_bits(64), ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+    pat = encode(alternating_bits(64), ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
     with pytest.raises(ConfigError, match="settle_symbols"):
         reference_samples(d, InitialConditions(0.75, 0.0), pat, 1.0, 8, settle_symbols=-5)
 
@@ -57,7 +56,7 @@ def test_reference_rejects_negative_settle_guard():
 def test_reference_decimation_consistency():
     d = derive_dynamics(SLOW)
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
-    pat = encode_vpwm(alternating_bits(16), cfg)
+    pat = encode(alternating_bits(16), cfg)
     ic = InitialConditions(0.75, 0.0)
     hi = reference_samples(d, ic, pat, 1.0, 16, settle_symbols=4)
     lo = reference_samples(d, ic, pat, 1.0, 8, settle_symbols=4)
@@ -85,11 +84,11 @@ def test_reference_is_the_settled_tail_of_the_full_grid(
     bits = rng.integers(0, 2, K)
     if scheme == "vpwm":
         cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.05)
-        pat = encode_vpwm(bits, cfg)
+        pat = encode(bits, cfg)
     else:
         # the largest shift puts a 1-pulse's end on the next symbol's 0-pulse start
         cfg = ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T)
-        pat = encode_vppm(bits, cfg)
+        pat = encode(bits, cfg)
     if steady:
         ic = InitialConditions(cfg.delta * p.V1, 0.0)
     else:
@@ -187,7 +186,7 @@ def test_sweep_is_the_statistics_of_the_full_trajectory(settle, align):
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
     bits = alternating_bits(12)
     d = derive_dynamics(SLOW)
-    pat = encode_vpwm(bits, cfg)
+    pat = encode(bits, cfg)
     ic = InitialConditions(cfg.delta * SLOW.V1, 0.0)
     Js = [1, 4, 7]
     reports = iter(

@@ -39,8 +39,7 @@ from tpcsim.modulation import (
     ModulationConfig,
     Scheme,
     alternating_bits,
-    encode_vppm,
-    encode_vpwm,
+    encode,
     sample_switching,
 )
 
@@ -51,7 +50,7 @@ T = 1e-6
 
 def fig_pattern(p_depth, K, delta=0.75):
     cfg = ModulationConfig(Scheme.VPWM, T, delta, p_depth)
-    return encode_vpwm(alternating_bits(K), cfg)
+    return encode(alternating_bits(K), cfg)
 
 
 def test_transient_zero_ics_vanishes():
@@ -255,7 +254,7 @@ def test_data_component_matches_edge_step_sum():
             bits = rng.integers(0, 2, int(rng.integers(1, 30)))
             delta = rng.uniform(0.3, 0.7)
             depth = rng.uniform(0.0, min(delta, 1 - delta) * 0.9)
-            pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
+            pat = encode(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
             t = np.sort(rng.uniform(-2 * T, (len(bits) + 20) * T, 400))
             a = edge_step_sum(p, pat, 1.0, t)
             b = data_component(d, pat, 1.0, t)
@@ -283,10 +282,10 @@ def test_data_component_property_against_edge_step_sum(slow, long, K, scheme, de
     bits = rng.integers(0, 2, K)
     if scheme == "vpwm":
         depth = 0.2 * min(delta, 1 - delta)
-        pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
+        pat = encode(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
     else:
         # the largest shift puts a 1-pulse's end on the next symbol's 0-pulse start
-        pat = encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+        pat = encode(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
     edges, _ = pat.edges()
     grid = rng.choice(K * J, min(K * J, 200), replace=False) * (T / J)
     before = rng.uniform(-3 * T, 0.0, 10)
@@ -318,7 +317,7 @@ def test_near_repeated_poles_property_against_oracles(slow, log_excess, K, seed)
     w0 = 1.0 / np.sqrt(p.L * p.C)
     rng = np.random.default_rng(seed)
     # duty 0.4 / 0.6 around T/2 puts every edge on the J = 200 grid
-    pat = encode_vpwm(rng.integers(0, 2, K), ModulationConfig(Scheme.VPWM, T, 0.5, 0.1))
+    pat = encode(rng.integers(0, 2, K), ModulationConfig(Scheme.VPWM, T, 0.5, 0.1))
     J = 200
     dt = T / J
     t = np.arange(K * J) * dt
@@ -348,9 +347,9 @@ def test_superposition_linearity():
     d = derive_dynamics(FAST)
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.2)
     b1, b2 = [1, 0, 1], [0, 0, 1, 1]
-    pat1 = encode_vpwm(b1, cfg)
-    pat2 = encode_vpwm(b2, cfg)
-    pat12 = encode_vpwm(b1 + b2, cfg)
+    pat1 = encode(b1, cfg)
+    pat2 = encode(b2, cfg)
+    pat12 = encode(b1 + b2, cfg)
     t = np.linspace(0.0, 10 * T, 3000)
     combined = data_component(d, pat12, 1.0, t)
     split = data_component(d, pat1, 1.0, t) + data_component(d, pat2, 1.0, t - len(b1) * T)

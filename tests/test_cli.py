@@ -221,6 +221,8 @@ GTX, EQUALIZE, GENERALIZED = "fig2_gtx", "equalize_k8", "generalized_parasitic"
 FIG6 = "fig6_bias"
 DISCRETE = {"type": "discrete", "J": 10}
 LOAD = {"kind": "general_load"}
+# a DCM start with negative current and voltage, which the diode cannot hold
+NEGATIVE_DCM_START = {"run": {**DISCRETE, "mode": "dcm"}, "ic": {"v2_0": -0.1}}
 OVERDAMPED = {"circuit.R_L": 0.5}  # below the damping boundary of every preset circuit
 # within 1.3e-13 of the damping boundary of L = 10 uH, C = 1 uF: repeated poles
 CRITICAL = {"circuit.R_L": 0.5 * math.sqrt(10.0) * (1 - 2e-14)}
@@ -264,6 +266,8 @@ REJECTED = [
     (FIG4, {"ic": {"d2v2_0": 1.0}}, "ic.d2v2_0", 2),
     (FIG4, {**OVERDAMPED, "run": DISCRETE, "ic": {"d2v2_0": 1.0}}, "ic.d2v2_0", 2),
     (GENERALIZED, {"run.ic_values": {"v2_0": 0.0}}, "run.ic_values", 2),
+    # a start the run's conduction mode cannot hold
+    (FIG4, NEGATIVE_DCM_START, "ic", 2),
     # a spectrum pattern too short for its FFT cross-check
     (SPECTRUM, {"bits": ""}, "bits", 2),
     (SPECTRUM, {"bits": "1", "run.J_fft": 1, "run.settle_symbols": 0}, "run.J_fft", 2),
@@ -331,6 +335,29 @@ def test_rejected_config_names_its_field(tmp_path, capsys, preset, changes, fiel
     path.write_text(json.dumps(_mutated(preset, changes)))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_console_entry_point_exit_codes(tmp_path):
+    """The console script returns main's 2 for a config error and 1 for a model error."""
+    circuit = get_preset(FIG4)["circuit"]
+    boundary = 0.5 * math.sqrt(circuit["L"] / circuit["C"])
+    runs = [
+        ({"circuit.R_L": boundary * (1 - 2e-14)}, 1, "model error: "),
+        (NEGATIVE_DCM_START, 2, "config error: ic: "),
+    ]
+    cases = [(["preset", "nope"], 2, "config error: preset: ")]
+    for i, (changes, code, message) in enumerate(runs):
+        path = tmp_path / f"scenario{i}.json"
+        path.write_text(json.dumps(_mutated(FIG4, changes)))
+        cases.append((["run", str(path)], code, message))
+    for args, code, message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpcsim.cli", *args, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, (args, proc.stderr)
+        assert message in proc.stderr
 
 
 def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):

@@ -10,7 +10,7 @@ from tpcsim.analytic import sample_output
 from tpcsim.circuit import CircuitParams, InitialConditions, derive_dynamics
 from tpcsim.discrete import ConductionMode, SimState, Variant, derive_params, simulate, step
 from tpcsim.errors import UnstableStepError
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vpwm
+from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode
 
 FAST = CircuitParams(L=10e-6, C=1e-6, R_L=10.0)
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
@@ -19,7 +19,7 @@ T = 1e-6
 
 def fig3_pattern(K=64, depth=0.2):
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, depth)
-    return encode_vpwm(alternating_bits(K), cfg)
+    return encode(alternating_bits(K), cfg)
 
 
 def test_exact_coefficients_formulas():
@@ -243,7 +243,7 @@ def test_started_run_is_the_tail_of_the_full_run(
     2 V starts above the target, so DCM runs clip the current; the last
     sample alone is checked too, so such a clip falls in the unstored part."""
     p = SLOW if slow else FAST
-    pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+    pat = encode(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
     ic = InitialConditions(v2_0, dv2_0)
     N = pat.K * J
     start = min(int(start_share * N), N - 1)
@@ -269,7 +269,7 @@ def test_start_outside_the_run_is_rejected(K, start):
 
 
 def test_fig4_scenario_settled_mean():
-    pat = encode_vpwm(
+    pat = encode(
         alternating_bits(64), ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
     )
     ic = InitialConditions(0.75, 0.0)
@@ -280,7 +280,7 @@ def test_fig4_scenario_settled_mean():
 
 def slow_pattern(K, depth=0.2):
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, depth)
-    return encode_vpwm(alternating_bits(K), cfg)
+    return encode(alternating_bits(K), cfg)
 
 
 def test_predictive_is_roughly_one_sample_delayed_simplified():
@@ -330,7 +330,7 @@ def test_exact_and_simplified_nearly_identical_at_high_j():
 
 
 def test_ccm_dcm_identical_when_current_stays_positive():
-    pat = encode_vpwm(
+    pat = encode(
         alternating_bits(32), ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
     )
     ic = InitialConditions(0.75, 0.0)
@@ -363,7 +363,7 @@ def test_bounded_trajectories_randomized():
         p = CircuitParams(L=10e-6, C=1e-6, R_L=float(rng.choice([2.0, 10.0, 20.0])))
         bits = rng.integers(0, 2, 16)
         cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.2)
-        pat = encode_vpwm(bits, cfg)
+        pat = encode(bits, cfg)
         ic = InitialConditions(rng.uniform(0.0, 1.0), 0.0)
         J = int(rng.choice([8, 32, 128]))
         variant = rng.choice(list(Variant))

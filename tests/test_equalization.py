@@ -43,7 +43,6 @@ from tpcsim.modulation import (
     Scheme,
     alternating_bits,
     encode,
-    encode_vpwm,
     sample_switching,
 )
 
@@ -57,7 +56,7 @@ IC = InitialConditions(0.75, 0.0)
 
 
 def make_obs(bits, J=8, sigma=0.0, seed=0, c=1.0):
-    pat = encode_vpwm(np.asarray(bits), CFG)
+    pat = encode(np.asarray(bits), CFG)
     v2, _ = simulate(FAST, pat, IC, J, Variant.EXACT)
     return observe(v2, ObservationModel(c=c, sigma=sigma, seed=seed))
 
@@ -110,7 +109,7 @@ def test_residual_transient_linearity():
 
 def test_subtract_transient_recovers_data_component():
     d = derive_dynamics(FAST)
-    pat = encode_vpwm(alternating_bits(8), CFG)
+    pat = encode(alternating_bits(8), CFG)
     J = 32
     w = sample_output(d, IC, pat, FAST.V1, T / J, pat.K * J)
     cleaned = subtract_transient(w, d, IC)
@@ -120,7 +119,7 @@ def test_subtract_transient_recovers_data_component():
 
 def test_subtract_transient_error_bound():
     d = derive_dynamics(FAST)
-    pat = encode_vpwm(alternating_bits(8), CFG)
+    pat = encode(alternating_bits(8), CFG)
     J = 32
     w = sample_output(d, IC, pat, FAST.V1, T / J, pat.K * J)
     eps_v = 0.01 * FAST.V1
@@ -159,7 +158,7 @@ EXTENSIONS = {
 def test_subtract_transient_on_circuit_extensions(name):
     model, ics = EXTENSIONS[name]
     d = Dynamics.of(model)
-    pat = encode_vpwm(alternating_bits(10), CFG)
+    pat = encode(alternating_bits(10), CFG)
     J = 64
     w = sample_output(d, ics, pat, SLOW.V1, T / J, pat.K * J)
     cleaned = subtract_transient(w, d, ics)
@@ -192,7 +191,7 @@ def test_equalize_preserves_constant():
 
 
 def test_equalize_amplifies_wideband_input():
-    pat = encode_vpwm(alternating_bits(8), CFG)
+    pat = encode(alternating_bits(8), CFG)
     v2, _ = simulate(FAST, pat, IC, 64, Variant.EXACT)
     out = equalize_frequency_domain(v2, FAST)
     centred_in = np.abs(v2.samples - v2.samples.mean()).max()
@@ -258,7 +257,7 @@ def test_noiseless_detection_recovers_bits():
 
 def test_detection_tie_breaks_lexicographically():
     cfg0 = ModulationConfig(Scheme.VPWM, T, 0.75, 0.0)  # depth 0: all bits alike
-    pat = encode_vpwm([1, 1, 1], cfg0)
+    pat = encode([1, 1, 1], cfg0)
     v2, _ = simulate(FAST, pat, IC, 8, Variant.EXACT)
     det = brute_force_detect(v2, FAST, cfg0, IC, J=8, K=3)
     assert np.array_equal(det, [0, 0, 0])
@@ -452,7 +451,7 @@ def test_subtract_then_detect_equals_detection_on_data_component():
     # removing the exact transient reduces detection to the zero-state case
     d = derive_dynamics(FAST)
     bits = np.array([1, 1, 0, 1, 0, 0])
-    pat = encode_vpwm(bits, CFG)
+    pat = encode(bits, CFG)
     J = 8
     N = pat.K * J
     dt = T / J
@@ -472,7 +471,7 @@ def test_subtract_then_detect_equals_detection_on_data_component():
 
 def test_noisy_detection_at_30db_snr():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
-    pat = encode_vpwm(bits, CFG)
+    pat = encode(bits, CFG)
     v2, _ = simulate(FAST, pat, IC, 8, Variant.EXACT)
     ripple_rms = np.std(v2.samples - np.mean(v2.samples))
     sigma = ripple_rms / 10 ** (30 / 20)

@@ -34,7 +34,7 @@ from tpcsim.modal import (
     ic_numerator,
     transfer_at,
 )
-from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode_vppm, encode_vpwm
+from tpcsim.modulation import ModulationConfig, Scheme, alternating_bits, encode
 
 SLOW = CircuitParams(L=100e-6, C=0.1e-6, R_L=20.0)
 T = 1e-6
@@ -42,7 +42,7 @@ T = 1e-6
 
 def pattern(K=10, depth=0.025):
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, depth)
-    return encode_vpwm(alternating_bits(K), cfg)
+    return encode(alternating_bits(K), cfg)
 
 
 def make_rational(den_roots, num=(1.0,)):
@@ -401,9 +401,9 @@ def test_parasitic_simulation_property_against_state_space_oracle(esl_C, esr_C, 
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, K)
     if vppm:
-        pat = encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+        pat = encode(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
     else:
-        pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+        pat = encode(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
     x0 = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.05, 0.05), rng.uniform(0.0, 1.0)])
     w = simulate_generalized(SLOW, q, pat, parasitic_derivative_ics(SLOW, q, x0), J)
     ref = rk4_parasitic(SLOW, q, pat, x0, J)
@@ -505,9 +505,9 @@ def test_general_load_simulation_property_against_state_space_oracle(
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, K)
     if vppm:
-        pat = encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+        pat = encode(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
     else:
-        pat = encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
+        pat = encode(bits, ModulationConfig(Scheme.VPWM, T, 0.75, 0.2))
     n_states = len(general_state_space(SLOW, gl)[1])
     x0 = np.zeros(n_states) if from_rest else rng.uniform(-0.5, 0.5, n_states)
     ics = general_derivative_ics(SLOW, gl, x0)
@@ -540,9 +540,7 @@ def test_general_derivative_ics_are_the_models_symbols(shape):
 
 def test_generalized_unmodulated_settles_to_duty_level():
     cfg = ModulationConfig(Scheme.UNMODULATED, T, 0.75)
-    from tpcsim.modulation import unmodulated_pattern
-
-    pat = unmodulated_pattern(cfg, 40)
+    pat = encode(np.zeros(40, dtype=int), cfg)
     w = simulate_generalized(SLOW, ParasiticParams(esr_C=0.05, esl_C=5e-9), pat, {}, 32)
     tail = w.samples[-10 * 32 :]
     assert np.mean(tail) == pytest.approx(0.75, rel=0.01)

@@ -16,10 +16,7 @@ from tpcsim.modulation import (
     SwitchingPattern,
     alternating_bits,
     encode,
-    encode_vppm,
-    encode_vpwm,
     sample_switching,
-    unmodulated_pattern,
 )
 
 
@@ -32,7 +29,7 @@ def vppm(T=1e-6, delta=0.5, depth=0.1e-6):
 
 
 def test_vpwm_duty_mapping():
-    pat = encode_vpwm([0, 1], vpwm())
+    pat = encode([0, 1], vpwm())
     duties = pat.widths / pat.T
     assert duties[0] == pytest.approx(0.55, rel=1e-12)
     assert duties[1] == pytest.approx(0.95, rel=1e-12)
@@ -40,18 +37,18 @@ def test_vpwm_duty_mapping():
 
 
 def test_vpwm_edge_times_small_depth():
-    pat = encode_vpwm([1], vpwm(depth=0.025))
+    pat = encode([1], vpwm(depth=0.025))
     assert pat.t_start[0] == pytest.approx(0.1125e-6, rel=1e-12)
     assert pat.t_end[0] == pytest.approx(0.8875e-6, rel=1e-12)
 
 
 def test_vpwm_depth_out_of_range():
     with pytest.raises(DepthOutOfRangeError):
-        encode_vpwm([1], vpwm(delta=0.75, depth=0.3))
+        encode([1], vpwm(delta=0.75, depth=0.3))
 
 
 def test_vppm_shift_mapping():
-    pat = encode_vppm([1, 0], vppm())
+    pat = encode([1, 0], vppm())
     assert pat.t_start[0] == pytest.approx(0.35e-6, rel=1e-12)
     assert pat.t_end[0] == pytest.approx(0.85e-6, rel=1e-12)
     assert pat.t_start[1] == pytest.approx(0.15e-6, rel=1e-12)
@@ -60,27 +57,27 @@ def test_vppm_shift_mapping():
 
 def test_vppm_depth_out_of_range():
     with pytest.raises(DepthOutOfRangeError):
-        encode_vppm([1], vppm(delta=0.75, depth=0.2e-6))
+        encode([1], vppm(delta=0.75, depth=0.2e-6))
 
 
 def test_depth_zero_matches_unmodulated():
     bits = [1, 0, 1, 1]
     cfg_w = vpwm(depth=0.0)
     cfg_p = ModulationConfig(scheme=Scheme.VPPM, T=1e-6, delta=0.75, depth=0.0)
-    ref = unmodulated_pattern(cfg_w, 4)
-    for pat in (encode_vpwm(bits, cfg_w), encode_vppm(bits, cfg_p)):
+    ref = encode(np.zeros(4, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75))
+    for pat in (encode(bits, cfg_w), encode(bits, cfg_p)):
         assert np.array_equal(pat.t_start, ref.t_start)
         assert np.array_equal(pat.t_end, ref.t_end)
 
 
 def test_unmodulated_examples():
-    pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.5), 1)
+    pat = encode(np.zeros(1, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.5))
     assert pat.t_start[0] == pytest.approx(0.25e-6, rel=1e-12)
     assert pat.t_end[0] == pytest.approx(0.75e-6, rel=1e-12)
-    pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75), 1)
+    pat = encode(np.zeros(1, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75))
     assert pat.t_start[0] == pytest.approx(0.125e-6, rel=1e-12)
     assert pat.t_end[0] == pytest.approx(0.875e-6, rel=1e-12)
-    empty = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75), 0)
+    empty = encode(np.zeros(0, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75))
     assert empty.K == 0
 
 
@@ -94,31 +91,31 @@ def test_pattern_invariant_enforced():
 
 
 def test_sample_switching_quarter_grid():
-    pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.5), 2)
+    pat = encode(np.zeros(2, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.5))
     s1 = sample_switching(pat, 0.25e-6, 8)
     assert np.array_equal(s1, [0, 1, 1, 0, 0, 1, 1, 0])
     # binary-exact grid, sample exactly on the trailing edge stays low
-    pat2 = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1.0, 0.5), 1)
+    pat2 = encode(np.zeros(1, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1.0, 0.5))
     s2 = sample_switching(pat2, 0.25, 4)
     assert np.array_equal(s2, [0, 1, 1, 0])
 
 
 def test_sample_switching_beyond_pattern_is_zero():
-    pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75), 1)
+    pat = encode(np.zeros(1, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.75))
     s1 = sample_switching(pat, 0.5e-6, 6)
     assert np.all(s1[2:] == 0)
 
 
 def test_sample_switching_mean_approaches_duty():
     cfg = ModulationConfig(Scheme.UNMODULATED, 1e-6, 0.5)
-    pat = unmodulated_pattern(cfg, 1)
+    pat = encode(np.zeros(1, dtype=int), cfg)
     s1 = sample_switching(pat, cfg.T / 1000, 1000)
     assert np.mean(s1) == pytest.approx(0.5, abs=2e-3)
     rng = np.random.default_rng(3)
     for _ in range(20):
         delta = rng.uniform(0.1, 0.9)
         J = int(rng.integers(200, 2000))
-        pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, 1e-6, delta), 1)
+        pat = encode(np.zeros(1, dtype=int), ModulationConfig(Scheme.UNMODULATED, 1e-6, delta))
         s1 = sample_switching(pat, 1e-6 / J, J)
         assert abs(np.mean(s1) - delta) <= 2.0 / J
 
@@ -126,7 +123,7 @@ def test_sample_switching_mean_approaches_duty():
 def test_edges_are_ordered_even_where_pulses_abut():
     # at the largest VPPM shift a 1-pulse ends where the next 0-pulse starts,
     # and k*T + T and (k+1)*T + 0 can differ by an ulp in either order
-    pat = encode_vppm(np.tile([1, 0], 500), vppm(delta=0.5, depth=0.25e-6))
+    pat = encode(np.tile([1, 0], 500), vppm(delta=0.5, depth=0.25e-6))
     times, signs = pat.edges()
     assert np.all(np.diff(times) >= 0.0)
     assert np.array_equal(signs, np.tile([1.0, -1.0], pat.K))
@@ -178,7 +175,7 @@ def test_randomized_pattern_invariants():
         bits = rng.integers(0, 2, size=rng.integers(1, 40))
         delta = rng.uniform(0.2, 0.8)
         depth = rng.uniform(0.0, min(delta, 1 - delta) * 0.95)
-        pat = encode_vpwm(bits, vpwm(delta=delta, depth=depth))
+        pat = encode(bits, vpwm(delta=delta, depth=depth))
         assert np.all(pat.t_start >= 0)
         assert np.all(pat.t_start < pat.t_end)
         assert np.all(pat.t_end <= pat.T)
@@ -223,8 +220,7 @@ def _pulse(scheme, T, delta, depth, bit):
     bits=st.lists(st.integers(0, 1), max_size=24),
 )
 def test_encode_is_the_duty_and_center_rule_of_each_scheme(scheme, log_T, delta, reach, bits):
-    """Every edge within 4 ulp of T of its scheme's rule; the scheme-named
-    encoders are encode on their own scheme and refuse the others."""
+    """Every edge within 4 ulp of T of its scheme's rule."""
     T = 10.0**log_T
     # the largest depth that keeps every duty in (0, 1) and every pulse in [0, T]
     limit = (1 - delta) * T / 2 if scheme is Scheme.VPPM else min(delta, 1 - delta)
@@ -235,18 +231,6 @@ def test_encode_is_the_duty_and_center_rule_of_each_scheme(scheme, log_T, delta,
         start, end = _pulse(scheme, T, delta, cfg.depth, bit)
         assert abs(Fraction(float(pat.t_start[k])) - start) <= tol
         assert abs(Fraction(float(pat.t_end[k])) - end) <= tol
-    for named, own in ((encode_vpwm, Scheme.VPWM), (encode_vppm, Scheme.VPPM)):
-        if scheme is own:
-            got = named(bits, cfg)
-            assert np.array_equal(got.t_start, pat.t_start)
-            assert np.array_equal(got.t_end, pat.t_end)
-        else:
-            with pytest.raises(ValueError, match="expected"):
-                named(bits, cfg)
-    if scheme is Scheme.UNMODULATED:
-        ref = unmodulated_pattern(cfg, len(bits))
-        assert np.array_equal(ref.t_start, pat.t_start)
-        assert np.array_equal(ref.t_end, pat.t_end)
 
 
 def test_vpwm_duty_of_exactly_one_or_zero_is_refused():

@@ -29,9 +29,7 @@ from tpcsim.modulation import (
     Scheme,
     SwitchingPattern,
     alternating_bits,
-    encode_vppm,
-    encode_vpwm,
-    unmodulated_pattern,
+    encode,
 )
 from tpcsim.spectrum import (
     _BLOCK,
@@ -48,7 +46,7 @@ T = 1e-6
 
 def fig5_pattern(K=64):
     cfg = ModulationConfig(Scheme.VPWM, T, 0.75, 0.025)
-    return encode_vpwm(alternating_bits(K), cfg)
+    return encode(alternating_bits(K), cfg)
 
 
 def phasor_tolerance(K, f, V1=1.0):
@@ -70,10 +68,10 @@ def random_pattern(kind, K, rng):
     if kind == "vpwm":
         delta = float(rng.choice([0.25, 0.5, 0.75]))
         depth = 0.2 * min(delta, 1 - delta)
-        return encode_vpwm(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
+        return encode(bits, ModulationConfig(Scheme.VPWM, T, delta, depth))
     if kind == "vppm_abutting":
         # the largest shift puts a 1-pulse's end on the next symbol's 0-pulse start
-        return encode_vppm(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
+        return encode(bits, ModulationConfig(Scheme.VPPM, T, 0.5, 0.25 * T))
     # every symbol's start and end differ from every other symbol's
     return SwitchingPattern(T, rng.uniform(0.0, 0.5 * T, K), rng.uniform(0.5 * T, T, K))
 
@@ -123,7 +121,7 @@ def test_spectrum_property_against_edge_phasor_sum(K, kind, n_f, shape, seed):
 
 
 def test_single_pulse_matches_sinc_oracle():
-    pat = unmodulated_pattern(ModulationConfig(Scheme.UNMODULATED, T, 0.6), 1)
+    pat = encode(np.zeros(1, dtype=int), ModulationConfig(Scheme.UNMODULATED, T, 0.6))
     Tp = 0.6 * T
     f = np.logspace(3, 7, 300)
     got = np.abs(v1_spectrum(pat, 2.0, f))
@@ -150,8 +148,8 @@ def test_conjugate_symmetry():
 def test_period_shift_structure():
     # doubling a one-symbol pattern multiplies the spectrum by 1 + e^{-j2pi f T}
     cfg = ModulationConfig(Scheme.UNMODULATED, T, 0.6)
-    one = unmodulated_pattern(cfg, 1)
-    two = unmodulated_pattern(cfg, 2)
+    one = encode(np.zeros(1, dtype=int), cfg)
+    two = encode(np.zeros(2, dtype=int), cfg)
     f = np.logspace(3.5, 6.8, 200)
     lhs = v1_spectrum(two, 1.0, f)
     rhs = v1_spectrum(one, 1.0, f) * (1.0 + np.exp(-2j * np.pi * f * T))
@@ -262,7 +260,7 @@ def test_extension_spectrum_agrees_with_fft_of_its_simulation(name):
     dt = T / J
     settle = default_settle_symbols(d, T)
     bits_ext = np.tile(alternating_bits(K), -(-(settle + K) // K))[-(settle + K) :]
-    pat_ext = encode_vpwm(bits_ext, ModulationConfig(Scheme.VPWM, T, 0.75, 0.025))
+    pat_ext = encode(bits_ext, ModulationConfig(Scheme.VPWM, T, 0.75, 0.025))
     w_full = sample_output(d, {"v2_0": 0.75}, pat_ext, SLOW.V1, dt, (settle + K) * J)
     w = Waveform(dt=dt, t0=0.0, samples=w_full.samples[settle * J :])
     sg_fft = spectrum_via_fft(w, dc_remove=0.75 * SLOW.V1)
